@@ -49,7 +49,7 @@ def _load(spec: str) -> ExperimentConfig:
 def _cmd_run(args) -> int:
     config = _load(args.config).with_overrides(master_seed=args.master_seed)
     result = run_experiment(config, output_dir=args.output_dir, workers=args.workers)
-    logger.warning("experiment %s complete: %s", config.name, result.output_dir)
+    logger.info("experiment %s complete: %s", config.name, result.output_dir)
     return 0
 
 

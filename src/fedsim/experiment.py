@@ -113,8 +113,21 @@ def _summary_payload(result: "ExperimentResult") -> dict:
     }
 
 
+def _finite_or_null(value):
+    """Copy of a JSON payload with every non-finite float replaced by ``None``."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    if isinstance(value, float) and not np.isfinite(value):
+        return None
+    return value
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    # Strict JSON has no Infinity or NaN; a diverged statistic is written as null.
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def run_experiment(

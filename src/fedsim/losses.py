@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,20 +72,44 @@ class AgentShard:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Ordered collection of agent shards sharing one feature dimension."""
+    """Ordered collection of agent shards sharing one feature dimension.
+
+    The samples are stored once, stacked over agents: ``features`` is
+    (n_agents, n_samples, dim) and ``labels`` is (n_agents, n_samples).
+    Every shard in ``shards`` is a view into the stack, so all shards must
+    hold the same number of samples.
+    """
 
     shards: tuple[AgentShard, ...]
     dimension: int
+    features: np.ndarray = field(init=False, repr=False, compare=False)
+    labels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "shards", tuple(self.shards))
-        if len(self.shards) < 1:
+        shards = tuple(self.shards)
+        if len(shards) < 1:
             raise ValueError("dataset must contain at least one shard")
-        for n, shard in enumerate(self.shards):
+        for n, shard in enumerate(shards):
             if shard.dim != self.dimension:
                 raise ValueError(
                     f"shard {n} has dimension {shard.dim}, expected {self.dimension}"
                 )
+            if shard.n_samples != shards[0].n_samples:
+                raise ValueError(
+                    f"shard {n} has {shard.n_samples} samples, expected "
+                    f"{shards[0].n_samples} like shard 0"
+                )
+        features = np.stack([shard.features for shard in shards])
+        labels = np.stack([shard.labels for shard in shards])
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(
+            self, "shards", tuple(AgentShard(features[n], labels[n]) for n in range(len(shards)))
+        )
+
+    def __reduce__(self):
+        # Pickle the samples once; unpickling restacks them and rebuilds the views.
+        return (Dataset, (self.shards, self.dimension))
 
     @property
     def n_agents(self) -> int:
@@ -132,6 +156,11 @@ def component_grad(kind: LossKind, shard: AgentShard, i: int, theta: np.ndarray)
     return -label * _sigmoid(-label * margin) * row
 
 
+def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
+    # Elementwise sigmoid; both branches keep the exp() argument nonpositive.
+    return np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+
+
 def agent_full_grad(kind: LossKind, shard: AgentShard, theta: np.ndarray) -> np.ndarray:
     """Mean of all per-sample gradients of one shard, in ascending sample order."""
     if theta.shape != (shard.dim,):
@@ -140,30 +169,52 @@ def agent_full_grad(kind: LossKind, shard: AgentShard, theta: np.ndarray) -> np.
     margins = features @ theta
     if kind is LossKind.QUADRATIC:
         return (2.0 / shard.n_samples) * (features.T @ (margins - labels))
-    z = -labels * margins
-    # Elementwise stable sigmoid of z.
-    sig = np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
-    return (features.T @ (-labels * sig)) / shard.n_samples
+    return (features.T @ (-labels * _stable_sigmoid(-labels * margins))) / shard.n_samples
+
+
+def _sum_agents(per_agent: np.ndarray) -> np.ndarray:
+    """Sum over the leading (agent) axis, adding in ascending agent order.
+
+    ``np.sum`` and ``@`` sum pairwise and round differently from adding the
+    agents one at a time; ``cumsum`` adds in order, so the result equals a
+    per-agent loop bit for bit.
+    """
+    return np.cumsum(per_agent, axis=0)[-1]
+
+
+def _check_theta(dataset: Dataset, theta: np.ndarray) -> None:
+    if theta.shape != (dataset.dimension,):
+        raise ValueError(f"theta has shape {theta.shape}, expected ({dataset.dimension},)")
+
+
+def _agent_matvec(features: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Per-agent ``X_n^T v_n`` for stacked (N, L, d) features and (N, L) vectors."""
+    return np.matmul(features.transpose(0, 2, 1), vectors[..., np.newaxis])[..., 0]
 
 
 def global_cost(kind: LossKind, dataset: Dataset, theta: np.ndarray) -> float:
     """Average over agents of the mean per-sample loss on each shard."""
-    total = 0.0
-    for shard in dataset.shards:
-        margins = shard.features @ theta
-        if kind is LossKind.QUADRATIC:
-            total += float(np.mean((shard.labels - margins) ** 2))
-        else:
-            total += float(np.mean(np.logaddexp(0.0, -shard.labels * margins)))
-    return total / dataset.n_agents
+    _check_theta(dataset, theta)
+    margins = dataset.features @ theta
+    if kind is LossKind.QUADRATIC:
+        per_agent = np.mean((dataset.labels - margins) ** 2, axis=1)
+    else:
+        per_agent = np.mean(np.logaddexp(0.0, -dataset.labels * margins), axis=1)
+    return float(_sum_agents(per_agent)) / dataset.n_agents
 
 
 def global_grad(kind: LossKind, dataset: Dataset, theta: np.ndarray) -> np.ndarray:
     """Average over agents of ``agent_full_grad``, in ascending agent order."""
-    grad = np.zeros(dataset.dimension)
-    for shard in dataset.shards:
-        grad += agent_full_grad(kind, shard, theta)
-    return grad / dataset.n_agents
+    _check_theta(dataset, theta)
+    features, labels = dataset.features, dataset.labels
+    n_samples = labels.shape[1]
+    margins = features @ theta
+    if kind is LossKind.QUADRATIC:
+        per_agent = (2.0 / n_samples) * _agent_matvec(features, margins - labels)
+    else:
+        sig = _stable_sigmoid(-labels * margins)
+        per_agent = _agent_matvec(features, -labels * sig) / n_samples
+    return _sum_agents(per_agent) / dataset.n_agents
 
 
 def generate_regression_dataset(
@@ -192,7 +243,7 @@ def generate_regression_dataset(
     for n in range(n_agents):
         lo = n * samples_per_agent
         hi = lo + samples_per_agent
-        shards.append(AgentShard(features[lo:hi].copy(), labels[lo:hi].copy()))
+        shards.append(AgentShard(features[lo:hi], labels[lo:hi]))
     return Dataset(tuple(shards), dimension), theta_true
 
 
@@ -200,16 +251,13 @@ def least_squares_oracle(dataset: Dataset) -> tuple[np.ndarray, float]:
     """Exact minimizer and optimal value of the quadratic global objective.
 
     Solves the agent-weighted normal equations
-    ``sum_n X_n^T X_n / L_n theta = sum_n X_n^T y_n / L_n`` (with equal
-    shard sizes this is pooled least squares) and verifies the solution by
-    checking that the global gradient vanishes to 1e-8.
+    ``sum_n X_n^T X_n / L_n theta = sum_n X_n^T y_n / L_n`` and verifies the
+    solution by checking that the global gradient vanishes to 1e-8.
     """
-    d = dataset.dimension
-    gram = np.zeros((d, d))
-    moment = np.zeros(d)
-    for shard in dataset.shards:
-        gram += shard.features.T @ shard.features / shard.n_samples
-        moment += shard.features.T @ shard.labels / shard.n_samples
+    features, labels = dataset.features, dataset.labels
+    n_samples = labels.shape[1]
+    gram = _sum_agents(np.matmul(features.transpose(0, 2, 1), features) / n_samples)
+    moment = _sum_agents(_agent_matvec(features, labels) / n_samples)
     try:
         theta_star = np.linalg.solve(gram, moment)
     except np.linalg.LinAlgError as exc:
@@ -230,9 +278,7 @@ def smoothness_constant(kind: LossKind, dataset: Dataset) -> float:
     curvature, so one constant serves the per-sample, per-agent and global
     objectives alike.
     """
-    worst = 0.0
-    for shard in dataset.shards:
-        worst = max(worst, float(np.max(np.sum(shard.features**2, axis=1))))
+    worst = float(np.max(np.sum(dataset.features**2, axis=2)))
     if kind is LossKind.QUADRATIC:
         return 2.0 * worst
     return worst / 4.0

@@ -6,7 +6,7 @@ kept free of the library's vectorized code paths.
 
 import numpy as np
 
-from fedsim.losses import component_grad, component_loss
+from fedsim.losses import LossKind, agent_full_grad, component_grad, component_loss
 
 
 def central_diff_grad(kind, shard, i, theta, step=1e-6):
@@ -46,6 +46,47 @@ def flat_global_grad(kind, dataset, theta):
     for shard in dataset.shards:
         total = total + loop_agent_grad(kind, shard, theta)
     return total / dataset.n_agents
+
+
+def loop_global_cost(kind, dataset, theta):
+    """Per-shard loop, accumulating agent costs in ascending agent order."""
+    total = 0.0
+    for shard in dataset.shards:
+        margins = shard.features @ theta
+        if kind is LossKind.QUADRATIC:
+            total += float(np.mean((shard.labels - margins) ** 2))
+        else:
+            total += float(np.mean(np.logaddexp(0.0, -shard.labels * margins)))
+    return total / dataset.n_agents
+
+
+def loop_global_grad(kind, dataset, theta):
+    """Per-shard loop over ``agent_full_grad``, in ascending agent order."""
+    grad = np.zeros(dataset.dimension)
+    for shard in dataset.shards:
+        grad += agent_full_grad(kind, shard, theta)
+    return grad / dataset.n_agents
+
+
+def loop_gram_moment(dataset):
+    """Agent-weighted normal equations ``(sum_n X_n^T X_n / L_n, sum_n X_n^T y_n / L_n)``."""
+    d = dataset.dimension
+    gram = np.zeros((d, d))
+    moment = np.zeros(d)
+    for shard in dataset.shards:
+        gram += shard.features.T @ shard.features / shard.n_samples
+        moment += shard.features.T @ shard.labels / shard.n_samples
+    return gram, moment
+
+
+def loop_smoothness(kind, dataset):
+    """Largest squared row norm over all shards, scaled per loss family."""
+    worst = 0.0
+    for shard in dataset.shards:
+        worst = max(worst, float(np.max(np.sum(shard.features**2, axis=1))))
+    if kind is LossKind.QUADRATIC:
+        return 2.0 * worst
+    return worst / 4.0
 
 
 def enumerate_aggregate_mean(theta_k, deltas, probs, aggregate_fn):

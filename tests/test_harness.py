@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fedsim.config import parse_config
-from fedsim.experiment import run_experiment
+from fedsim.experiment import _write_json, run_experiment
 
 
 def experiment_doc(**overrides):
@@ -139,6 +139,36 @@ class TestRunExperiment:
         assert cost == result.traces["fedavg_svrg"][0].records[0].cost
 
 
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestStrictJson:
+    def test_non_finite_floats_are_written_as_null(self, tmp_path):
+        path = tmp_path / "payload.json"
+        payload = {
+            "inf": float("inf"),
+            "list": [1.5, float("nan"), -float("inf")],
+            "nested": {"nan": np.float64("nan"), "ok": 2.0},
+        }
+        _write_json(path, payload)
+        parsed = json.loads(path.read_text(), parse_constant=reject_constant)
+        assert parsed == {"inf": None, "list": [1.5, None, None],
+                          "nested": {"nan": None, "ok": 2.0}}
+
+    def test_finite_payload_keeps_its_bytes(self, tmp_path):
+        path = tmp_path / "payload.json"
+        payload = {
+            "runs": 3,
+            "f_star": 0.9812345678901234,
+            "theta_star": [np.float64(-1e-300), 3.954688382431528e289, 0.1],
+            "algorithms": {"a": {"final_variance": None, "bound_imputed_cells": 0}},
+            "name": "tiny",
+        }
+        _write_json(path, payload)
+        assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 class TestCli:
     def test_validate_ok(self, tmp_path):
         path = tmp_path / "tiny.json"
@@ -230,6 +260,6 @@ class TestCli:
         assert quiet.returncode == 0
         assert chatty.returncode == 0
         assert "experiment" in chatty.stderr
-        # The completion line is logged at WARNING, so only an INFO record
-        # shows that FEDSIM_LOG took effect.
+        # A successful run logs nothing at the default WARNING level, so
+        # these INFO records show that FEDSIM_LOG took effect.
         assert "INFO fedsim.experiment" in chatty.stderr

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -18,7 +19,19 @@ from fedsim.losses import (
     least_squares_oracle,
     smoothness_constant,
 )
-from oracles import central_diff_grad, flat_global_cost, flat_global_grad, loop_agent_grad
+from oracles import (
+    central_diff_grad,
+    flat_global_cost,
+    flat_global_grad,
+    loop_agent_grad,
+    loop_global_cost,
+    loop_global_grad,
+    loop_gram_moment,
+    loop_smoothness,
+)
+
+KINDS = [LossKind.QUADRATIC, LossKind.LOGISTIC]
+THETA_SCALES = (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
 
 
 def single_sample_shard(row, label):
@@ -47,6 +60,90 @@ class TestShardValidation:
     def test_dataset_rejects_empty(self):
         with pytest.raises(ValueError):
             Dataset((), 2)
+
+
+class TestDatasetStack:
+    def test_rejects_unequal_sample_counts(self, rng):
+        with pytest.raises(ValueError, match="samples"):
+            Dataset((random_shard(rng, 4, 3), random_shard(rng, 5, 3)), 3)
+
+    def test_rejects_one_short_shard_among_many(self, rng):
+        shards = [random_shard(rng, 6, 2) for _ in range(4)]
+        shards[2] = random_shard(rng, 1, 2)
+        with pytest.raises(ValueError, match="shard 2"):
+            Dataset(tuple(shards), 2)
+
+    def test_shards_are_views_into_the_stack(self, rng):
+        built = random_dataset(rng, n_agents=3, n_samples=4, dim=2)
+        generated, _ = generate_regression_dataset(5, 6, 3, 1.0, rng)
+        assert built.features.shape == (3, 4, 2) and built.labels.shape == (3, 4)
+        assert generated.features.shape == (5, 6, 3) and generated.labels.shape == (5, 6)
+        for dataset in (built, generated):
+            for n, shard in enumerate(dataset.shards):
+                assert np.shares_memory(shard.features, dataset.features)
+                assert np.shares_memory(shard.labels, dataset.labels)
+                assert np.array_equal(shard.features, dataset.features[n])
+                assert np.array_equal(shard.labels, dataset.labels[n])
+
+    def test_stack_is_a_copy_of_the_input_shards(self, rng):
+        shard = random_shard(rng, 4, 2)
+        dataset = Dataset((shard,), 2)
+        assert not np.shares_memory(shard.features, dataset.features)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_global_evaluations_reject_misshaped_theta(self, kind, rng):
+        dataset = random_dataset(rng, n_agents=3, n_samples=4, dim=2)
+        for theta in (np.zeros((2, 1)), np.zeros(3)):
+            with pytest.raises(ValueError):
+                global_cost(kind, dataset, theta)
+            with pytest.raises(ValueError):
+                global_grad(kind, dataset, theta)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_pickle_roundtrip_keeps_bits_and_views(self, kind, rng):
+        dataset = random_dataset(rng, n_agents=7, n_samples=9, dim=3,
+                                 pm_one_labels=kind is LossKind.LOGISTIC)
+        restored = pickle.loads(pickle.dumps(dataset))
+        for shard in restored.shards:
+            assert np.shares_memory(shard.features, restored.features)
+            assert np.shares_memory(shard.labels, restored.labels)
+        for scale in THETA_SCALES:
+            theta = scale * rng.standard_normal(3)
+            assert global_cost(kind, restored, theta) == global_cost(kind, dataset, theta)
+            assert (global_grad(kind, restored, theta).tobytes()
+                    == global_grad(kind, dataset, theta).tobytes())
+
+
+class TestBatchedMatchesLoops:
+    """The stacked evaluations reproduce the per-shard loops bit for bit."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n_agents", [1, 3, 200])
+    @pytest.mark.parametrize("n_samples", [5, 50])
+    def test_global_cost_and_grad(self, kind, n_agents, n_samples, rng):
+        dataset = random_dataset(rng, n_agents=n_agents, n_samples=n_samples, dim=4,
+                                 pm_one_labels=kind is LossKind.LOGISTIC)
+        for scale in THETA_SCALES:
+            for _ in range(4):
+                theta = scale * rng.standard_normal(4)
+                assert global_cost(kind, dataset, theta) == loop_global_cost(kind, dataset, theta)
+                assert np.array_equal(
+                    global_grad(kind, dataset, theta), loop_global_grad(kind, dataset, theta)
+                )
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n_agents", [1, 3, 200])
+    def test_smoothness_constant(self, kind, n_agents, rng):
+        dataset = random_dataset(rng, n_agents=n_agents, n_samples=6, dim=4)
+        assert smoothness_constant(kind, dataset) == loop_smoothness(kind, dataset)
+
+    @pytest.mark.parametrize("n_agents", [1, 3, 200])
+    def test_least_squares_oracle(self, n_agents, rng):
+        dataset = random_dataset(rng, n_agents=n_agents, n_samples=6, dim=4)
+        theta_star, f_star = least_squares_oracle(dataset)
+        expected = np.linalg.solve(*loop_gram_moment(dataset))
+        assert np.array_equal(theta_star, expected)
+        assert f_star == loop_global_cost(LossKind.QUADRATIC, dataset, expected)
 
 
 class TestComponentLoss:

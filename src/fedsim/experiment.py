@@ -189,6 +189,10 @@ def run_experiment(
                 _schedule_probs_matrix(alg, dataset.n_agents),
             )
             bounds[alg.name] = bound
+            logger.info(
+                "algorithm %s: stepsize * smoothness (delta*L) %.6g",
+                alg.name, alg.svrg.stepsize * smoothness,
+            )
         summaries[alg.name] = summarize_runs(alg_traces, f_star, bound)
         logger.info(
             "algorithm %s: final mean cost error %.6g, CEP %.6g",

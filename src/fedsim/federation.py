@@ -2,11 +2,12 @@
 
 One training round samples the set of active agents, runs each active
 agent's local solver from the current global parameter, and folds the
-returned displacements back into the global parameter. Agents activated by
-independent Bernoulli draws are reweighted by the inverse of their
-activation probability, which keeps the aggregated update unbiased however
-skewed the participation is. A uniform-batch variant reproduces classic
-federated averaging with plain batch means instead.
+returned displacements back through one fold, ``aggregate``, which divides
+each displacement by its agent's divisor. Under independent Bernoulli draws
+the divisor is ``p_n * N``: inverse-probability weighting, which keeps the
+aggregated update unbiased however skewed the participation is. The
+uniform-batch variant reproduces classic federated averaging with the batch
+size as every divisor. Schedules are validated once, when they are built.
 """
 
 from __future__ import annotations
@@ -47,8 +48,10 @@ class ScheduleKind(enum.Enum):
     PER_ROUND = "per_round"
 
 
-def _check_probs(probs: np.ndarray, what: str) -> np.ndarray:
+def _check_probs(probs, what: str, ndim: int) -> np.ndarray:
     probs = np.asarray(probs, dtype=float)
+    if probs.ndim != ndim:
+        raise ValueError(f"{what} must be a {ndim}-D array, got {probs.ndim}-D")
     if probs.size == 0:
         raise ValueError(f"{what} must be nonempty")
     if not np.isfinite(probs).all() or (probs <= 0.0).any() or (probs > 1.0).any():
@@ -61,7 +64,9 @@ class ParticipationSchedule:
     """Per-agent, per-round activation probabilities.
 
     Three layouts: one probability shared by everyone, one fixed
-    probability per agent, or a full (rounds x agents) matrix.
+    probability per agent, or a full (rounds x agents) matrix. The field
+    the kind selects is checked at construction: every probability must
+    lie in (0, 1] and the array must have the layout's dimension.
     """
 
     kind: ScheduleKind
@@ -69,23 +74,27 @@ class ParticipationSchedule:
     per_agent: np.ndarray | None = None
     matrix: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.kind is ScheduleKind.CONSTANT:
+            p = _check_probs(self.constant, "participation probability", ndim=0)
+            object.__setattr__(self, "constant", float(p))
+        elif self.kind is ScheduleKind.PER_AGENT:
+            probs = _check_probs(self.per_agent, "per-agent probabilities", ndim=1)
+            object.__setattr__(self, "per_agent", probs)
+        else:
+            matrix = _check_probs(self.matrix, "probability matrix (rounds x agents)", ndim=2)
+            object.__setattr__(self, "matrix", matrix)
+
     @classmethod
     def constant_uniform(cls, p: float) -> "ParticipationSchedule":
-        _check_probs(np.array([p]), "participation probability")
-        return cls(kind=ScheduleKind.CONSTANT, constant=float(p))
+        return cls(kind=ScheduleKind.CONSTANT, constant=p)
 
     @classmethod
     def per_agent_fixed(cls, probs) -> "ParticipationSchedule":
-        probs = _check_probs(probs, "per-agent probabilities")
-        if probs.ndim != 1:
-            raise ValueError("per-agent probabilities must be a 1-D array")
         return cls(kind=ScheduleKind.PER_AGENT, per_agent=probs)
 
     @classmethod
     def per_round_matrix(cls, matrix) -> "ParticipationSchedule":
-        matrix = _check_probs(matrix, "probability matrix")
-        if matrix.ndim != 2:
-            raise ValueError("probability matrix must be 2-D (rounds x agents)")
         return cls(kind=ScheduleKind.PER_ROUND, matrix=matrix)
 
     def probabilities(self, round_index: int, n_agents: int) -> np.ndarray:
@@ -216,41 +225,24 @@ class TrainingError(RuntimeError):
         self.reason = reason
 
 
-def sample_participation(
-    schedule: ParticipationSchedule,
-    round_index: int,
-    n_agents: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Independent Bernoulli activation draw for every agent."""
-    probs = _check_probs(schedule.probabilities(round_index, n_agents), "activation probabilities")
-    return rng.random(n_agents) < probs
+def sample_participation(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Independent Bernoulli activation draw: agent n is active with probability ``probs[n]``."""
+    return rng.random(len(probs)) < probs
 
 
-def aggregate(
-    theta_k: np.ndarray,
-    deltas: list[np.ndarray | None],
-    indicators: np.ndarray,
-    probs: np.ndarray,
-) -> np.ndarray:
-    """Inverse-probability-weighted fold of active agents' displacements.
+def aggregate(theta_k: np.ndarray, deltas: list[np.ndarray], divisors) -> np.ndarray:
+    """Fold the active agents' displacements into the global parameter.
 
-    Returns ``theta_k + (1/N) * sum over active n of deltas[n] / probs[n]``,
-    accumulated in ascending agent order so results are bit-reproducible.
-    Inactive agents contribute nothing; an empty active set returns
-    ``theta_k`` unchanged.
+    ``deltas`` holds the active agents only, in ascending agent order, and
+    ``divisors`` one divisor per entry: ``p_n * N`` under Bernoulli
+    participation, the batch size under the uniform batch. Returns
+    ``theta_k + sum_j deltas[j] / divisors[j]``, added in the given order so
+    results are bit-reproducible; an empty active set returns a copy of
+    ``theta_k``.
     """
-    n_agents = len(deltas)
-    if len(indicators) != n_agents or len(probs) != n_agents:
-        raise ValueError("deltas, indicators and probs must have equal length")
-    _check_probs(probs, "aggregation probabilities")
     theta = np.array(theta_k, dtype=float)
-    for n in range(n_agents):
-        if not indicators[n]:
-            continue
-        if deltas[n] is None:
-            raise ValueError(f"active agent {n} is missing its update")
-        theta += deltas[n] / (probs[n] * n_agents)
+    for delta, divisor in zip(deltas, divisors, strict=True):
+        theta += delta / divisor
     return theta
 
 
@@ -289,19 +281,18 @@ def run_round(
     n_agents = dataset.n_agents
     part_rng = derive_rng(cfg.master_seed, PARTICIPATION_LABEL, run_index, round_index)
     if cfg.algorithm is Algorithm.FEDAVG_UNIFORM_BATCH:
-        if cfg.batch_size > n_agents:
-            raise ValueError(f"batch_size {cfg.batch_size} exceeds {n_agents} agents")
         chosen = part_rng.choice(n_agents, size=cfg.batch_size, replace=False)
         indicators = np.zeros(n_agents, dtype=bool)
         indicators[chosen] = True
+        divisors = np.full(cfg.batch_size, cfg.batch_size)
     else:
-        indicators = sample_participation(cfg.schedule, round_index, n_agents, part_rng)
+        probs = cfg.schedule.probabilities(round_index, n_agents)
+        indicators = sample_participation(probs, part_rng)
+        divisors = probs[indicators] * n_agents
 
-    deltas: list[np.ndarray | None] = [None] * n_agents
+    deltas: list[np.ndarray] = []
     traces: dict[int, LocalTrace] = {}
-    for n in range(n_agents):
-        if not indicators[n]:
-            continue
+    for n in np.flatnonzero(indicators).tolist():
         grad_rng = derive_rng(
             cfg.master_seed, f"{GRADIENT_LABEL}/{cfg.name}", run_index, round_index, n
         )
@@ -309,18 +300,10 @@ def run_round(
             trace = _local_update(kind, dataset, cfg, theta_k, round_index, n, grad_rng)
         except DivergenceError as exc:
             raise TrainingError(cfg.name, run_index, round_index, n, str(exc)) from exc
-        deltas[n] = trace.delta_w
+        deltas.append(trace.delta_w)
         traces[n] = trace
 
-    if cfg.algorithm is Algorithm.FEDAVG_UNIFORM_BATCH:
-        theta_next = np.array(theta_k, dtype=float)
-        for n in range(n_agents):
-            if indicators[n]:
-                theta_next += deltas[n] / cfg.batch_size
-    else:
-        probs = cfg.schedule.probabilities(round_index, n_agents)
-        theta_next = aggregate(theta_k, deltas, indicators, probs)
-
+    theta_next = aggregate(theta_k, deltas, divisors)
     grad = global_grad(kind, dataset, theta_next)
     return RoundRecord(
         round_index=round_index,
@@ -350,6 +333,8 @@ def run_training(
         raise ValueError(
             f"theta0 has shape {theta.shape}, expected ({dataset.dimension},)"
         )
+    if cfg.algorithm is Algorithm.FEDAVG_UNIFORM_BATCH and cfg.batch_size > dataset.n_agents:
+        raise ValueError(f"batch_size {cfg.batch_size} exceeds {dataset.n_agents} agents")
     grad0 = global_grad(kind, dataset, theta)
     trace = RunTrace(
         theta0=theta,

@@ -7,15 +7,19 @@ objective averages per-sample losses over that agent's local shard:
     f_n(theta) = (1/L_n) * sum_i loss(row_{n,i}, label_{n,i}, theta).
 
 Two per-sample loss families are supported: squared residuals for
-regression and the logistic loss for binary classification. Everything in
-this module is a pure function of its inputs; the only stateful object is
-the caller-supplied random generator used for data synthesis.
+regression and the logistic loss for binary classification. Both depend on
+theta only through the margin ``m = row.theta``, so each family is one entry
+of the table ``_LOSSES`` keyed by ``LossKind``: ``loss(m, y)``, its
+derivative in ``m`` as ``scale * residual(m, y)`` (the gradient is that times
+``row``), and ``curvature``, a bound on the second derivative in ``m``. No
+function branches on the family. Everything in this module is a pure
+function of its inputs; the only stateful object is the caller-supplied
+random generator used for data synthesis.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,20 +120,54 @@ class Dataset:
         return len(self.shards)
 
 
+def _check_theta(dim: int, theta: np.ndarray) -> None:
+    if theta.shape != (dim,):
+        raise ValueError(f"theta has shape {theta.shape}, expected ({dim},)")
+
+
 def _sample(shard: AgentShard, i: int, theta: np.ndarray) -> tuple[np.ndarray, float]:
-    if not 0 <= i < shard.n_samples:
-        raise ValueError(f"sample index {i} out of range [0, {shard.n_samples})")
-    if theta.shape != (shard.dim,):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({shard.dim},)")
-    return shard.features[i], float(shard.labels[i])
+    features = shard.features
+    n_samples, dim = features.shape
+    if not 0 <= i < n_samples:
+        raise ValueError(f"sample index {i} out of range [0, {n_samples})")
+    _check_theta(dim, theta)
+    return features[i], float(shard.labels[i])
 
 
-def _sigmoid(z: float) -> float:
-    # Branch keeps exp() argument nonpositive.
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    ez = math.exp(z)
-    return ez / (1.0 + ez)
+def _sigmoid(z):
+    # Elementwise; both branches keep the exp() argument nonpositive.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
+
+
+class _Loss:
+    """One ``_LOSSES`` entry; the module docstring defines the fields.
+
+    ``scale`` stays outside ``residual`` because ``(scale / L) * (X^T r)``
+    rounds unlike ``X^T (scale * r) / L``. A plain class: a dataclass adds
+    about 0.5 ms to each import of fedsim, which perfbench's setup_s measures.
+    """
+
+    __slots__ = ("loss", "residual", "scale", "curvature")
+
+    def __init__(self, loss, residual, scale, curvature):
+        self.loss, self.residual, self.scale, self.curvature = loss, residual, scale, curvature
+
+
+_LOSSES = {
+    LossKind.QUADRATIC: _Loss(
+        loss=lambda m, y: (y - m) ** 2,
+        residual=lambda m, y: m - y,
+        scale=2.0,
+        curvature=2.0,
+    ),
+    LossKind.LOGISTIC: _Loss(
+        loss=lambda m, y: np.logaddexp(0.0, -y * m),
+        residual=lambda m, y: -y * _sigmoid(-y * m),
+        scale=1.0,
+        curvature=0.25,
+    ),
+}
 
 
 def component_loss(kind: LossKind, shard: AgentShard, i: int, theta: np.ndarray) -> float:
@@ -138,10 +176,7 @@ def component_loss(kind: LossKind, shard: AgentShard, i: int, theta: np.ndarray)
     Quadratic: (label - row.theta)^2. Logistic: log(1 + exp(-label * row.theta)).
     """
     row, label = _sample(shard, i, theta)
-    margin = float(row @ theta)
-    if kind is LossKind.QUADRATIC:
-        return (label - margin) ** 2
-    return float(np.logaddexp(0.0, -label * margin))
+    return float(_LOSSES[kind].loss(float(row @ theta), label))
 
 
 def component_grad(kind: LossKind, shard: AgentShard, i: int, theta: np.ndarray) -> np.ndarray:
@@ -150,26 +185,17 @@ def component_grad(kind: LossKind, shard: AgentShard, i: int, theta: np.ndarray)
     Quadratic: 2 * row * (row.theta - label). Logistic: -label * sigmoid(-label * row.theta) * row.
     """
     row, label = _sample(shard, i, theta)
-    margin = float(row @ theta)
-    if kind is LossKind.QUADRATIC:
-        return 2.0 * (margin - label) * row
-    return -label * _sigmoid(-label * margin) * row
-
-
-def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
-    # Elementwise sigmoid; both branches keep the exp() argument nonpositive.
-    return np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+    loss = _LOSSES[kind]
+    return loss.scale * loss.residual(float(row @ theta), label) * row
 
 
 def agent_full_grad(kind: LossKind, shard: AgentShard, theta: np.ndarray) -> np.ndarray:
     """Mean of all per-sample gradients of one shard, in ascending sample order."""
-    if theta.shape != (shard.dim,):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({shard.dim},)")
-    features, labels = shard.features, shard.labels
-    margins = features @ theta
-    if kind is LossKind.QUADRATIC:
-        return (2.0 / shard.n_samples) * (features.T @ (margins - labels))
-    return (features.T @ (-labels * _stable_sigmoid(-labels * margins))) / shard.n_samples
+    _check_theta(shard.dim, theta)
+    loss = _LOSSES[kind]
+    features = shard.features
+    residuals = loss.residual(features @ theta, shard.labels)
+    return (loss.scale / shard.n_samples) * (features.T @ residuals)
 
 
 def _sum_agents(per_agent: np.ndarray) -> np.ndarray:
@@ -182,11 +208,6 @@ def _sum_agents(per_agent: np.ndarray) -> np.ndarray:
     return np.cumsum(per_agent, axis=0)[-1]
 
 
-def _check_theta(dataset: Dataset, theta: np.ndarray) -> None:
-    if theta.shape != (dataset.dimension,):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({dataset.dimension},)")
-
-
 def _agent_matvec(features: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Per-agent ``X_n^T v_n`` for stacked (N, L, d) features and (N, L) vectors."""
     return np.matmul(features.transpose(0, 2, 1), vectors[..., np.newaxis])[..., 0]
@@ -194,26 +215,18 @@ def _agent_matvec(features: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 def global_cost(kind: LossKind, dataset: Dataset, theta: np.ndarray) -> float:
     """Average over agents of the mean per-sample loss on each shard."""
-    _check_theta(dataset, theta)
-    margins = dataset.features @ theta
-    if kind is LossKind.QUADRATIC:
-        per_agent = np.mean((dataset.labels - margins) ** 2, axis=1)
-    else:
-        per_agent = np.mean(np.logaddexp(0.0, -dataset.labels * margins), axis=1)
+    _check_theta(dataset.dimension, theta)
+    per_agent = np.mean(_LOSSES[kind].loss(dataset.features @ theta, dataset.labels), axis=1)
     return float(_sum_agents(per_agent)) / dataset.n_agents
 
 
 def global_grad(kind: LossKind, dataset: Dataset, theta: np.ndarray) -> np.ndarray:
     """Average over agents of ``agent_full_grad``, in ascending agent order."""
-    _check_theta(dataset, theta)
+    _check_theta(dataset.dimension, theta)
+    loss = _LOSSES[kind]
     features, labels = dataset.features, dataset.labels
-    n_samples = labels.shape[1]
-    margins = features @ theta
-    if kind is LossKind.QUADRATIC:
-        per_agent = (2.0 / n_samples) * _agent_matvec(features, margins - labels)
-    else:
-        sig = _stable_sigmoid(-labels * margins)
-        per_agent = _agent_matvec(features, -labels * sig) / n_samples
+    residuals = loss.residual(features @ theta, labels)
+    per_agent = (loss.scale / labels.shape[1]) * _agent_matvec(features, residuals)
     return _sum_agents(per_agent) / dataset.n_agents
 
 
@@ -278,7 +291,4 @@ def smoothness_constant(kind: LossKind, dataset: Dataset) -> float:
     curvature, so one constant serves the per-sample, per-agent and global
     objectives alike.
     """
-    worst = float(np.max(np.sum(dataset.features**2, axis=2)))
-    if kind is LossKind.QUADRATIC:
-        return 2.0 * worst
-    return worst / 4.0
+    return _LOSSES[kind].curvature * float(np.max(np.sum(dataset.features**2, axis=2)))

@@ -90,7 +90,11 @@ def loop_smoothness(kind, dataset):
 
 
 def enumerate_aggregate_mean(theta_k, deltas, probs, aggregate_fn):
-    """Exact expectation of an aggregation rule over all activation patterns."""
+    """Exact expectation of an aggregation rule over all activation patterns.
+
+    ``aggregate_fn(theta_k, active_deltas, divisors)`` receives the active
+    agents' displacements in ascending order and the divisors ``p_n * N``.
+    """
     n = len(deltas)
     expected = np.zeros_like(theta_k)
     for pattern in range(2**n):
@@ -98,8 +102,9 @@ def enumerate_aggregate_mean(theta_k, deltas, probs, aggregate_fn):
         weight = 1.0
         for j in range(n):
             weight *= probs[j] if indicators[j] else 1.0 - probs[j]
-        masked = [deltas[j] if indicators[j] else None for j in range(n)]
-        expected = expected + weight * aggregate_fn(theta_k, masked, indicators, probs)
+        active = [j for j in range(n) if indicators[j]]
+        divisors = [probs[j] * n for j in active]
+        expected = expected + weight * aggregate_fn(theta_k, [deltas[j] for j in active], divisors)
     return expected
 
 

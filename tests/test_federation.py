@@ -9,6 +9,7 @@ from fedsim.federation import (
     Algorithm,
     ParticipationSchedule,
     RunConfig,
+    ScheduleKind,
     SgdParams,
     TrainingError,
     aggregate,
@@ -52,13 +53,13 @@ class TestParticipationSchedule:
         schedule = ParticipationSchedule.constant_uniform(1.0)
         rng = np.random.default_rng(0)
         for k in range(5):
-            assert sample_participation(schedule, k, 7, rng).all()
+            assert sample_participation(schedule.probabilities(k, 7), rng).all()
 
     def test_empirical_frequency_near_probability(self):
         schedule = ParticipationSchedule.constant_uniform(0.5)
         rng = np.random.default_rng(314)
         draws = np.array([
-            sample_participation(schedule, 0, 2, rng) for _ in range(10_000)
+            sample_participation(schedule.probabilities(0, 2), rng) for _ in range(10_000)
         ])
         freq = draws.mean(axis=0)
         assert np.all(np.abs(freq - 0.5) < 0.02)
@@ -73,14 +74,20 @@ class TestParticipationSchedule:
         with pytest.raises(ValueError):
             ParticipationSchedule.per_agent_fixed(np.array([0.5, -0.1]))
 
+    def test_direct_construction_is_validated(self):
+        with pytest.raises(ValueError):
+            ParticipationSchedule(kind=ScheduleKind.CONSTANT, constant=5.0)
+        with pytest.raises(ValueError):
+            ParticipationSchedule(kind=ScheduleKind.PER_ROUND, matrix=np.full(3, 0.5))
+
     def test_matrix_bounds_checked(self):
         schedule = ParticipationSchedule.per_round_matrix(np.full((2, 3), 0.5))
         rng = np.random.default_rng(0)
-        sample_participation(schedule, 1, 3, rng)
+        sample_participation(schedule.probabilities(1, 3), rng)
         with pytest.raises(ValueError):
-            sample_participation(schedule, 2, 3, rng)
+            sample_participation(schedule.probabilities(2, 3), rng)
         with pytest.raises(ValueError):
-            sample_participation(schedule, 0, 4, rng)
+            sample_participation(schedule.probabilities(0, 4), rng)
 
     def test_per_agent_length_checked(self):
         schedule = ParticipationSchedule.per_agent_fixed(np.array([0.5, 0.5]))
@@ -91,14 +98,14 @@ class TestParticipationSchedule:
 class TestAggregate:
     def test_empty_active_set_keeps_parameter(self):
         theta = np.array([1.0, -2.0])
-        out = aggregate(theta, [None, None], np.array([False, False]), np.array([0.5, 0.5]))
+        out = aggregate(theta, [], [])
         assert np.array_equal(out, theta)
         assert out is not theta
 
     def test_all_active_unit_probabilities_is_plain_mean(self, rng):
         theta = rng.standard_normal(3)
         deltas = [rng.standard_normal(3) for _ in range(4)]
-        out = aggregate(theta, deltas, np.ones(4, dtype=bool), np.ones(4))
+        out = aggregate(theta, deltas, np.full(4, 4.0))
         assert np.allclose(out, theta + np.mean(deltas, axis=0), atol=1e-14)
 
     def test_two_agent_enumeration_is_unbiased(self, rng):
@@ -108,14 +115,15 @@ class TestAggregate:
         expected = enumerate_aggregate_mean(theta, deltas, probs, aggregate)
         assert np.allclose(expected, theta + np.mean(deltas, axis=0), atol=1e-12, rtol=0.0)
 
-    def test_missing_delta_for_active_agent(self):
-        with pytest.raises(ValueError):
-            aggregate(np.zeros(2), [None, np.zeros(2)],
-                      np.array([True, True]), np.array([0.5, 0.5]))
-
     def test_rejects_nonpositive_probabilities(self):
+        # Probabilities are checked once, when the schedule that supplies
+        # the divisors is built.
         with pytest.raises(ValueError):
-            aggregate(np.zeros(2), [np.zeros(2)], np.array([True]), np.array([0.0]))
+            ParticipationSchedule(kind=ScheduleKind.PER_AGENT, per_agent=np.array([0.0]))
+
+    def test_rejects_mismatched_divisors(self):
+        with pytest.raises(ValueError):
+            aggregate(np.zeros(2), [np.zeros(2)], [2.0, 2.0])
 
 
 class TestRunRound:
@@ -161,6 +169,29 @@ class TestRunRound:
         for local in rec.local_traces.values():
             rebuilt = rebuilt + local.delta_w / 2
         assert np.allclose(rec.theta, rebuilt, atol=1e-14)
+
+    def test_uniform_batch_divides_by_batch_size_exactly(self):
+        # (15 / 22) * 22 != 15 in floating point, so a divisor built from a
+        # batch probability B/N would change these bits.
+        assert (15 / 22) * 22 != 15
+        dataset, _ = small_dataset(n_agents=22)
+        cfg = RunConfig(
+            name="uniform",
+            algorithm=Algorithm.FEDAVG_UNIFORM_BATCH,
+            rounds=1,
+            schedule=ParticipationSchedule.constant_uniform(1.0),
+            theta0=np.zeros(2),
+            master_seed=11,
+            sgd=SgdParams(steps=2, base_stepsize=0.1, decay="constant"),
+            batch_size=15,
+        )
+        theta_k = np.array([0.25, -0.5])
+        rec = run_round(LossKind.QUADRATIC, dataset, cfg, theta_k, round_index=0)
+        assert rec.n_active == 15
+        expected = theta_k.copy()
+        for n in sorted(rec.local_traces):
+            expected += rec.local_traces[n].delta_w / 15
+        assert rec.theta.tobytes() == expected.tobytes()
 
     def test_divergence_carries_identity(self):
         dataset, _ = small_dataset()

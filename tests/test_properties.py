@@ -1,0 +1,118 @@
+"""Property tests over generated inputs (hypothesis).
+
+Examples are derandomized, so every run of the suite checks the same cases.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
+from fedsim.config import PROB_FLOOR, parse_config  # noqa: E402
+from fedsim.federation import aggregate  # noqa: E402
+from oracles import enumerate_aggregate_mean  # noqa: E402
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+probability = st.floats(PROB_FLOOR, 1.0)
+
+
+@st.composite
+def aggregation_cases(draw):
+    n = draw(st.integers(1, 8))
+    dim = draw(st.integers(1, 3))
+    theta = draw(arrays(np.float64, dim, elements=finite))
+    deltas = draw(arrays(np.float64, (n, dim), elements=finite))
+    probs = draw(arrays(np.float64, n, elements=st.floats(0.01, 1.0)))
+    return theta, list(deltas), probs
+
+
+@SETTINGS
+@given(aggregation_cases())
+def test_aggregate_is_unbiased(case):
+    theta, deltas, probs = case
+    expected = enumerate_aggregate_mean(theta, deltas, probs, aggregate)
+    np.testing.assert_allclose(expected, theta + np.mean(deltas, axis=0), rtol=0.0, atol=1e-9)
+
+
+@st.composite
+def schedules(draw, n_agents, max_rounds):
+    kind = draw(st.sampled_from(["constant", "per_agent", "per_round", "per_agent_uniform_draw"]))
+    if kind == "constant":
+        return {"kind": kind, "p": draw(probability)}
+    if kind == "per_agent":
+        return {"kind": kind, "probs": draw(st.lists(probability, min_size=n_agents, max_size=n_agents))}
+    if kind == "per_round":
+        row = st.lists(probability, min_size=n_agents, max_size=n_agents)
+        return {"kind": kind, "probs": draw(st.lists(row, min_size=max_rounds, max_size=max_rounds + 2))}
+    low, high = sorted(draw(st.lists(probability, min_size=2, max_size=2)))
+    return {"kind": kind, "low": low, "high": high, "seed": draw(st.integers(0, 2**32))}
+
+
+@st.composite
+def algorithm_entries(draw, n_agents):
+    entries = []
+    if draw(st.booleans()):
+        entries.append({
+            "kind": "fedavg_svrg",
+            "rounds": draw(st.integers(1, 4)),
+            "snapshots": draw(st.integers(1, 3)),
+            "inner_steps": draw(st.integers(1, 3)),
+            "stepsize": draw(st.floats(1e-6, 1.0)),
+        })
+    # Without exactly one svrg entry to match work against, local_steps is required.
+    steps_optional = len(entries) == 1
+    for kind in draw(st.lists(st.sampled_from(["fedavg_prob_sgd", "fedavg_uniform_batch"]),
+                              min_size=0 if entries else 1, max_size=3)):
+        entry = {"kind": kind, "rounds": draw(st.integers(1, 4))}
+        if not steps_optional or draw(st.booleans()):
+            entry["local_steps"] = draw(st.integers(1, 5))
+        if draw(st.booleans()):
+            entry["base_stepsize"] = draw(st.floats(1e-6, 1.0))
+        if draw(st.booleans()):
+            entry["decay"] = draw(st.sampled_from(["per_round", "constant"]))
+        if kind == "fedavg_uniform_batch":
+            entry["batch_size"] = draw(st.integers(1, n_agents))
+        entries.append(entry)
+    for i, entry in enumerate(entries):
+        entry["name"] = f"alg{i}"
+    return entries
+
+
+@st.composite
+def config_docs(draw):
+    n_agents = draw(st.integers(1, 5))
+    dimension = draw(st.integers(1, 4))
+    algorithms = draw(algorithm_entries(n_agents))
+    max_rounds = max(entry["rounds"] for entry in algorithms)
+    doc = {
+        "data": {
+            "n_agents": n_agents,
+            "samples_per_agent": draw(st.integers(1, 5)),
+            "dimension": dimension,
+            "noise_std": draw(st.floats(0.0, 10.0)),
+            "data_seed": draw(st.integers(0, 2**32)),
+        },
+        "runs": draw(st.integers(1, 5)),
+        "master_seed": draw(st.integers(0, 2**64 - 1)),
+        "theta0": draw(finite | st.lists(finite, min_size=dimension, max_size=dimension)),
+        "schedule": draw(schedules(n_agents, max_rounds)),
+        "algorithms": algorithms,
+    }
+    if draw(st.booleans()):
+        doc["name"] = draw(st.from_regex(r"[A-Za-z0-9_.-]{1,12}", fullmatch=True))
+    return doc
+
+
+@SETTINGS
+@given(config_docs())
+def test_parse_config_round_trips(doc):
+    resolved = parse_config(doc).to_dict()
+    assert parse_config(resolved).to_dict() == resolved
+    assert parse_config(json.loads(json.dumps(resolved))).to_dict() == resolved

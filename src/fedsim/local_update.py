@@ -9,6 +9,7 @@ evaluation consumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,21 +102,27 @@ def svrg_local_update(
     with samples drawn uniformly with replacement; the anchor then jumps to
     the last inner iterate. Deterministic given the generator state.
     """
-    n = shard.n_samples
+    stepsize = params.stepsize
     v_sq = np.zeros((params.snapshots, params.inner_steps))
+    # One call draws every index, in the order and with the final generator
+    # state that one scalar draw per step would give.
+    samples = rng.integers(shard.n_samples, size=v_sq.shape).tolist()
     w_tilde = np.array(theta_k, dtype=float)
     w = w_tilde
     # Overflow on the divergence path is detected below, not warned about.
+    # A finite w.w means every entry of w is finite, so the entrywise check
+    # runs only once the iterate is huge or already non-finite. ``a.dot(b)``
+    # is the BLAS dot product ``a @ b`` computes, without matmul's dispatch.
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(params.snapshots):
+        for s, (cycle, v_sq_row) in enumerate(zip(samples, v_sq)):
             mu_tilde = agent_full_grad(kind, shard, w_tilde)
             w = w_tilde
-            for m in range(params.inner_steps):
-                sample = int(rng.integers(n))
+            for m, sample in enumerate(cycle):
                 v = variance_reduced_grad(kind, shard, w, w_tilde, mu_tilde, sample)
-                v_sq[s, m] = float(v @ v)
-                w = w - params.stepsize * v
-                if not (np.isfinite(v_sq[s, m]) and np.isfinite(w).all()):
+                vv = v.dot(v)
+                v_sq_row[m] = vv
+                w = w - stepsize * v
+                if not (math.isfinite(vv) and (math.isfinite(w.dot(w)) or np.isfinite(w).all())):
                     raise DivergenceError(s, m)
             w_tilde = w
     return LocalTrace(v_sq_norms=v_sq, delta_w=w - theta_k)
@@ -138,15 +145,15 @@ def sgd_local_update(
         raise ValueError("steps must be >= 1")
     if not (np.isfinite(stepsize) and stepsize >= 0.0):
         raise ValueError("stepsize must be finite and >= 0")
-    n = shard.n_samples
     v_sq = np.zeros((1, steps))
+    v_sq_row = v_sq[0]
     w = np.array(theta_k, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(steps):
-            sample = int(rng.integers(n))
+        for m, sample in enumerate(rng.integers(shard.n_samples, size=steps).tolist()):
             g = component_grad(kind, shard, sample, w)
-            v_sq[0, m] = float(g @ g)
+            gg = g.dot(g)
+            v_sq_row[m] = gg
             w = w - stepsize * g
-            if not (np.isfinite(v_sq[0, m]) and np.isfinite(w).all()):
+            if not (math.isfinite(gg) and (math.isfinite(w.dot(w)) or np.isfinite(w).all())):
                 raise DivergenceError(0, m)
     return LocalTrace(v_sq_norms=v_sq, delta_w=w - theta_k)

@@ -65,6 +65,14 @@ class AgentShard:
         if not (np.isfinite(features).all() and np.isfinite(labels).all()):
             raise ValueError("shard entries must be finite")
 
+    @classmethod
+    def _view(cls, features: np.ndarray, labels: np.ndarray) -> "AgentShard":
+        """A shard over arrays that were already checked, built without checking them again."""
+        shard = object.__new__(cls)
+        object.__setattr__(shard, "features", features)
+        object.__setattr__(shard, "labels", labels)
+        return shard
+
     @property
     def n_samples(self) -> int:
         return self.features.shape[0]
@@ -107,8 +115,9 @@ class Dataset:
         labels = np.stack([shard.labels for shard in shards])
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
+        # The stack copies shards that were checked when they were built.
         object.__setattr__(
-            self, "shards", tuple(AgentShard(features[n], labels[n]) for n in range(len(shards)))
+            self, "shards", tuple(AgentShard._view(features[n], labels[n]) for n in range(len(shards)))
         )
 
     def __reduce__(self):
@@ -186,7 +195,8 @@ def component_grad(kind: LossKind, shard: AgentShard, i: int, theta: np.ndarray)
     """
     row, label = _sample(shard, i, theta)
     loss = _LOSSES[kind]
-    return loss.scale * loss.residual(float(row @ theta), label) * row
+    # row.dot(theta) equals row @ theta bit for bit and skips matmul's dispatch.
+    return loss.scale * loss.residual(float(row.dot(theta)), label) * row
 
 
 def agent_full_grad(kind: LossKind, shard: AgentShard, theta: np.ndarray) -> np.ndarray:

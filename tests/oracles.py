@@ -6,6 +6,7 @@ kept free of the library's vectorized code paths.
 
 import numpy as np
 
+from fedsim.local_update import DivergenceError, LocalTrace, variance_reduced_grad
 from fedsim.losses import LossKind, agent_full_grad, component_grad, component_loss
 
 
@@ -87,6 +88,44 @@ def loop_smoothness(kind, dataset):
     if kind is LossKind.QUADRATIC:
         return 2.0 * worst
     return worst / 4.0
+
+
+def loop_svrg_local_update(kind, shard, theta_k, params, rng):
+    """The variance-reduced solver as one scalar index draw per step."""
+    n = shard.n_samples
+    v_sq = np.zeros((params.snapshots, params.inner_steps))
+    w_tilde = np.array(theta_k, dtype=float)
+    w = w_tilde
+    # Overflow on the divergence path is detected below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(params.snapshots):
+            mu_tilde = agent_full_grad(kind, shard, w_tilde)
+            w = w_tilde
+            for m in range(params.inner_steps):
+                sample = int(rng.integers(n))
+                v = variance_reduced_grad(kind, shard, w, w_tilde, mu_tilde, sample)
+                v_sq[s, m] = float(v @ v)
+                w = w - params.stepsize * v
+                if not (np.isfinite(v_sq[s, m]) and np.isfinite(w).all()):
+                    raise DivergenceError(s, m)
+            w_tilde = w
+    return LocalTrace(v_sq_norms=v_sq, delta_w=w - theta_k)
+
+
+def loop_sgd_local_update(kind, shard, theta_k, steps, stepsize, rng):
+    """Plain SGD as one scalar index draw per step, with entrywise finiteness checks."""
+    n = shard.n_samples
+    v_sq = np.zeros((1, steps))
+    w = np.array(theta_k, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(steps):
+            sample = int(rng.integers(n))
+            g = component_grad(kind, shard, sample, w)
+            v_sq[0, m] = float(g @ g)
+            w = w - stepsize * g
+            if not (np.isfinite(v_sq[0, m]) and np.isfinite(w).all()):
+                raise DivergenceError(0, m)
+    return LocalTrace(v_sq_norms=v_sq, delta_w=w - theta_k)
 
 
 def enumerate_aggregate_mean(theta_k, deltas, probs, aggregate_fn):

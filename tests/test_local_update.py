@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
+import fedsim.local_update as local_update
 from conftest import random_shard
+from fedsim.federation import (
+    Algorithm,
+    ParticipationSchedule,
+    RunConfig,
+    SgdParams,
+    run_training,
+)
 from fedsim.local_update import (
     DivergenceError,
     SvrgParams,
@@ -19,6 +27,7 @@ from fedsim.losses import (
     least_squares_oracle,
 )
 from fedsim.seeding import derive_rng
+from oracles import loop_sgd_local_update, loop_svrg_local_update
 
 
 class FixedIndexRng:
@@ -27,9 +36,9 @@ class FixedIndexRng:
     def __init__(self, index):
         self.index = index
 
-    def integers(self, n):
+    def integers(self, n, size=None):
         assert self.index < n
-        return self.index
+        return self.index if size is None else np.full(size, self.index)
 
 
 class TestSvrgParams:
@@ -176,10 +185,13 @@ class TestSvrgLocalUpdate:
         theta = rng.standard_normal(3)
         params = SvrgParams(snapshots=2, inner_steps=4, stepsize=1e200)
         with pytest.raises(DivergenceError) as err:
-            svrg_local_update(LossKind.QUADRATIC, shard, theta, params, rng)
+            svrg_local_update(LossKind.QUADRATIC, shard, theta, params, derive_rng(5, "d", 0))
         assert err.value.snapshot >= 0
         assert err.value.step >= 0
         assert "snapshot" in str(err.value)
+        with pytest.raises(DivergenceError) as ref:
+            loop_svrg_local_update(LossKind.QUADRATIC, shard, theta, params, derive_rng(5, "d", 0))
+        assert (err.value.snapshot, err.value.step) == (ref.value.snapshot, ref.value.step)
 
     def test_variance_vanishes_at_anchor_but_not_for_raw_sgd(self):
         gen = np.random.default_rng(11)
@@ -245,3 +257,163 @@ class TestSgdLocalUpdate:
         theta = rng.standard_normal(3)
         with pytest.raises(DivergenceError):
             sgd_local_update(LossKind.QUADRATIC, shard, theta, 10, 1e200, rng)
+
+
+def _positions(solver, *args):
+    with pytest.raises(DivergenceError) as err:
+        solver(*args)
+    return err.value.snapshot, err.value.step
+
+
+class TestSolversMatchLoops:
+    """The solvers against their one-draw-per-step loops in ``oracles``, bit for bit."""
+
+    SHAPES = [(1, 1), (1, 7), (3, 4), (5, 50)]
+    STEPSIZES = [0.0, 1e-3, 0.05, 0.3]
+
+    @staticmethod
+    def shard(kind, n_samples, seed):
+        gen = np.random.default_rng(seed)
+        return random_shard(gen, n_samples=n_samples, dim=4,
+                            pm_one_labels=kind is LossKind.LOGISTIC)
+
+    @pytest.mark.parametrize("kind", [LossKind.QUADRATIC, LossKind.LOGISTIC])
+    @pytest.mark.parametrize("snapshots, inner_steps", SHAPES)
+    @pytest.mark.parametrize("n_samples", [1, 2, 7, 50])
+    def test_svrg_is_bit_equal(self, kind, snapshots, inner_steps, n_samples):
+        shard = self.shard(kind, n_samples, snapshots * 100 + inner_steps)
+        theta = np.linspace(-1.0, 1.0, 4)
+        for stepsize in self.STEPSIZES:
+            params = SvrgParams(snapshots, inner_steps, stepsize)
+            rng_a, rng_b = derive_rng(3, "svrg", n_samples), derive_rng(3, "svrg", n_samples)
+            got = svrg_local_update(kind, shard, theta, params, rng_a)
+            want = loop_svrg_local_update(kind, shard, theta, params, rng_b)
+            assert np.array_equal(got.delta_w, want.delta_w)
+            assert np.array_equal(got.v_sq_norms, want.v_sq_norms)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("kind", [LossKind.QUADRATIC, LossKind.LOGISTIC])
+    @pytest.mark.parametrize("steps", [1, 2, 25, 250])
+    @pytest.mark.parametrize("n_samples", [1, 2, 7, 50])
+    def test_sgd_is_bit_equal(self, kind, steps, n_samples):
+        shard = self.shard(kind, n_samples, steps)
+        theta = np.linspace(-1.0, 1.0, 4)
+        for stepsize in self.STEPSIZES:
+            rng_a, rng_b = derive_rng(3, "sgd", n_samples), derive_rng(3, "sgd", n_samples)
+            got = sgd_local_update(kind, shard, theta, steps, stepsize, rng_a)
+            want = loop_sgd_local_update(kind, shard, theta, steps, stepsize, rng_b)
+            assert np.array_equal(got.delta_w, want.delta_w)
+            assert np.array_equal(got.v_sq_norms, want.v_sq_norms)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+class TestDivergencePosition:
+    """Where the first non-finite value shows, the solver stops at the loop's (snapshot, step).
+
+    Each case records every anchored direction the solver takes, to show
+    that the case exercises what its name says.
+    """
+
+    ROWS = np.array([[1.0, 2.0], [3.0, -1.0], [-2.0, 0.5]])
+
+    @staticmethod
+    def run_recorded(monkeypatch, shard, theta, params, seed):
+        steps = []
+        inner = local_update.variance_reduced_grad
+
+        def recorded(kind, shard, w, w_tilde, mu_tilde, sample):
+            v = inner(kind, shard, w, w_tilde, mu_tilde, sample)
+            steps.append((w, v))
+            return v
+
+        monkeypatch.setattr(local_update, "variance_reduced_grad", recorded)
+        position = _positions(
+            svrg_local_update, LossKind.QUADRATIC, shard, theta, params, np.random.default_rng(seed)
+        )
+        monkeypatch.undo()
+        expected = _positions(
+            loop_svrg_local_update, LossKind.QUADRATIC, shard, theta, params, np.random.default_rng(seed)
+        )
+        assert position == expected
+        return position, steps
+
+    def test_direction_norm_overflows(self, monkeypatch):
+        shard = AgentShard(self.ROWS, np.array([1.0, -2.0, 0.5]))
+        params = SvrgParams(snapshots=3, inner_steps=4, stepsize=1.0)
+        position, steps = self.run_recorded(monkeypatch, shard, np.array([1e150, -1e150]), params, 0)
+        assert position == (1, 0)
+        w, v = steps[-1]
+        with np.errstate(over="ignore"):
+            assert np.isfinite(v).all() and v @ v == np.inf
+            assert all(np.isfinite(x @ x) for x, _ in steps)
+
+    def test_huge_but_finite_iterate_continues(self, monkeypatch):
+        # w @ w overflows while every entry of w is finite: the entrywise
+        # fallback must let the update go on to the next step.
+        shard = AgentShard(self.ROWS, np.array([1.0, -2.0, 0.5]))
+        params = SvrgParams(snapshots=3, inner_steps=4, stepsize=1e100)
+        position, steps = self.run_recorded(monkeypatch, shard, np.array([1.0, -1.0]), params, 0)
+        assert position == (0, 2)
+        w, _ = steps[2]
+        with np.errstate(over="ignore"):
+            assert np.isfinite(w).all() and w @ w == np.inf
+
+    def test_nan_from_inf_minus_inf(self, monkeypatch):
+        # Samples 0 and 1 share a row and carry labels +-1e308, so their
+        # residual gradients overflow to -inf and +inf while the full gradient
+        # stays finite; the first anchored step on either gives inf - inf.
+        rows = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, -1.0]])
+        shard = AgentShard(rows, np.array([1e308, -1e308, 0.5]))
+        params = SvrgParams(snapshots=2, inner_steps=3, stepsize=0.05)
+        position, steps = self.run_recorded(monkeypatch, shard, np.array([0.3, -0.2]), params, 4)
+        assert position == (1, 0)
+        w, v = steps[-1]
+        assert np.isfinite(w).all() and np.isnan(v).all()
+
+
+class TestTracedCallCounts:
+    """The scalar calls perfbench's ``--trace 1`` counts per activation.
+
+    The counters wrap ``fedsim.local_update``'s module attributes, the
+    names the solvers look up and the ones perfbench wraps.
+    """
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        counts = {"component_grad": 0, "agent_full_grad": 0}
+        for name in counts:
+            inner = getattr(local_update, name)
+
+            def counted(*args, _name=name, _inner=inner):
+                counts[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(local_update, name, counted)
+        return counts
+
+    def test_svrg_activation(self, monkeypatch):
+        dataset, _ = generate_regression_dataset(4, 6, 3, 1.0, np.random.default_rng(5))
+        cfg = RunConfig(
+            name="svrg", algorithm=Algorithm.FEDAVG_SVRG, rounds=3,
+            schedule=ParticipationSchedule.constant_uniform(0.6), theta0=np.zeros(3),
+            master_seed=8, svrg=SvrgParams(snapshots=3, inner_steps=5, stepsize=0.01),
+        )
+        counts = self.count_calls(monkeypatch)
+        trace = run_training(LossKind.QUADRATIC, dataset, cfg)
+        activations = sum(rec.n_active for rec in trace.records)
+        assert activations > 0
+        assert counts == {"component_grad": 2 * 3 * 5 * activations,
+                          "agent_full_grad": 3 * activations}
+
+    def test_sgd_activation(self, monkeypatch):
+        dataset, _ = generate_regression_dataset(4, 6, 3, 1.0, np.random.default_rng(5))
+        cfg = RunConfig(
+            name="sgd", algorithm=Algorithm.FEDAVG_PROB_SGD, rounds=3,
+            schedule=ParticipationSchedule.constant_uniform(0.6), theta0=np.zeros(3),
+            master_seed=8, sgd=SgdParams(steps=7, base_stepsize=0.01),
+        )
+        counts = self.count_calls(monkeypatch)
+        trace = run_training(LossKind.QUADRATIC, dataset, cfg)
+        activations = sum(rec.n_active for rec in trace.records)
+        assert activations > 0
+        assert counts == {"component_grad": 7 * activations, "agent_full_grad": 0}

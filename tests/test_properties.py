@@ -15,7 +15,18 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from fedsim.config import PROB_FLOOR, parse_config  # noqa: E402
 from fedsim.federation import aggregate  # noqa: E402
-from oracles import enumerate_aggregate_mean  # noqa: E402
+from fedsim.local_update import (  # noqa: E402
+    DivergenceError,
+    SvrgParams,
+    sgd_local_update,
+    svrg_local_update,
+)
+from fedsim.losses import AgentShard, LossKind  # noqa: E402
+from oracles import (  # noqa: E402
+    enumerate_aggregate_mean,
+    loop_sgd_local_update,
+    loop_svrg_local_update,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -116,3 +127,43 @@ def test_parse_config_round_trips(doc):
     resolved = parse_config(doc).to_dict()
     assert parse_config(resolved).to_dict() == resolved
     assert parse_config(json.loads(json.dumps(resolved))).to_dict() == resolved
+
+
+@st.composite
+def solver_cases(draw):
+    kind = draw(st.sampled_from(list(LossKind)))
+    n_samples = draw(st.integers(1, 8))
+    dim = draw(st.integers(1, 4))
+    features = draw(arrays(np.float64, (n_samples, dim), elements=finite))
+    if kind is LossKind.LOGISTIC:
+        labels = draw(arrays(np.float64, n_samples, elements=st.sampled_from([-1.0, 1.0])))
+    else:
+        labels = draw(arrays(np.float64, n_samples, elements=finite))
+    theta = draw(arrays(np.float64, dim, elements=finite))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 6)))
+    # Large stepsizes drive the update into overflow, so divergence is covered too.
+    stepsize = draw(st.sampled_from([0.0, 1e-3, 0.05, 0.5, 10.0, 1e100]))
+    return kind, AgentShard(features, labels), theta, shape, stepsize, draw(st.integers(0, 2**32))
+
+
+def _outcome(solver, *args):
+    try:
+        trace = solver(*args)
+    except DivergenceError as exc:
+        return ("diverged", exc.snapshot, exc.step)
+    return ("ok", trace.delta_w.tobytes(), trace.v_sq_norms.tobytes())
+
+
+@SETTINGS
+@given(solver_cases())
+def test_solvers_match_scalar_loops(case):
+    kind, shard, theta, (snapshots, inner_steps), stepsize, seed = case
+    params = SvrgParams(snapshots, inner_steps, stepsize)
+    rngs = [np.random.default_rng(seed) for _ in range(4)]
+    assert _outcome(svrg_local_update, kind, shard, theta, params, rngs[0]) == _outcome(
+        loop_svrg_local_update, kind, shard, theta, params, rngs[1]
+    )
+    steps = snapshots * inner_steps
+    assert _outcome(sgd_local_update, kind, shard, theta, steps, stepsize, rngs[2]) == _outcome(
+        loop_sgd_local_update, kind, shard, theta, steps, stepsize, rngs[3]
+    )

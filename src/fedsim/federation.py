@@ -26,7 +26,7 @@ from .local_update import (
     svrg_local_update,
 )
 from .losses import Dataset, LossKind, global_cost, global_grad
-from .seeding import derive_rng
+from .seeding import derive_rng, derive_seeds, rng_from_seed
 
 logger = logging.getLogger(__name__)
 
@@ -262,6 +262,45 @@ def _local_update(
     return sgd_local_update(kind, shard, theta_k, cfg.sgd.steps, stepsize, rng)
 
 
+def _plan_rounds(cfg: RunConfig, n_agents: int, rounds, run_index: int) -> list[tuple]:
+    """Participation and gradient seeds of the given rounds, in order.
+
+    Participation never depends on the iterate, so a run can draw it for
+    every round before its first. Each round's draw comes from its own
+    participation stream: Bernoulli-participation algorithms draw
+    independent activations (the stream is independent of the algorithm
+    name, so paired comparisons see identical activation patterns); the
+    uniform-batch variant draws its batch without replacement. Then the
+    gradient-stream seeds of every active (run, round, agent) come from one
+    ``derive_seeds`` call. Returns one ``(indicators, divisors, seeds)``
+    per round, with one seed row per active agent in ascending order.
+    """
+    draws = []
+    for k in rounds:
+        part_rng = derive_rng(cfg.master_seed, PARTICIPATION_LABEL, run_index, k)
+        if cfg.algorithm is Algorithm.FEDAVG_UNIFORM_BATCH:
+            chosen = part_rng.choice(n_agents, size=cfg.batch_size, replace=False)
+            indicators = np.zeros(n_agents, dtype=bool)
+            indicators[chosen] = True
+            divisors = np.full(cfg.batch_size, cfg.batch_size)
+        else:
+            probs = cfg.schedule.probabilities(k, n_agents)
+            indicators = sample_participation(probs, part_rng)
+            divisors = probs[indicators] * n_agents
+        draws.append((k, indicators, divisors))
+
+    slots = [(run_index, k, n) for k, indicators, _ in draws
+             for n in np.flatnonzero(indicators).tolist()]
+    seeds = derive_seeds(cfg.master_seed, f"{GRADIENT_LABEL}/{cfg.name}", slots)
+    plans = []
+    start = 0
+    for _, indicators, divisors in draws:
+        stop = start + len(divisors)
+        plans.append((indicators, divisors, seeds[start:stop]))
+        start = stop
+    return plans
+
+
 def run_round(
     kind: LossKind,
     dataset: Dataset,
@@ -269,35 +308,24 @@ def run_round(
     theta_k: np.ndarray,
     round_index: int,
     run_index: int = 0,
+    plan: tuple | None = None,
 ) -> RoundRecord:
     """Execute one round from ``theta_k`` and record the post-round state.
 
-    Bernoulli-participation algorithms use the shared participation stream
-    (independent of the algorithm name, so paired comparisons see identical
-    activation patterns); the uniform-batch variant draws its batch without
-    replacement from the same stream. Each active agent consumes its own
-    gradient stream keyed by (algorithm, run, round, agent).
+    ``plan`` is the round's ``(indicators, divisors, seeds)`` from
+    ``_plan_rounds``; without it the round plans itself the same way. Each
+    active agent consumes its own gradient stream keyed by (algorithm, run,
+    round, agent).
     """
-    n_agents = dataset.n_agents
-    part_rng = derive_rng(cfg.master_seed, PARTICIPATION_LABEL, run_index, round_index)
-    if cfg.algorithm is Algorithm.FEDAVG_UNIFORM_BATCH:
-        chosen = part_rng.choice(n_agents, size=cfg.batch_size, replace=False)
-        indicators = np.zeros(n_agents, dtype=bool)
-        indicators[chosen] = True
-        divisors = np.full(cfg.batch_size, cfg.batch_size)
-    else:
-        probs = cfg.schedule.probabilities(round_index, n_agents)
-        indicators = sample_participation(probs, part_rng)
-        divisors = probs[indicators] * n_agents
+    if plan is None:
+        (plan,) = _plan_rounds(cfg, dataset.n_agents, [round_index], run_index)
+    indicators, divisors, seeds = plan
 
     deltas: list[np.ndarray] = []
     traces: dict[int, LocalTrace] = {}
-    for n in np.flatnonzero(indicators).tolist():
-        grad_rng = derive_rng(
-            cfg.master_seed, f"{GRADIENT_LABEL}/{cfg.name}", run_index, round_index, n
-        )
+    for n, seed in zip(np.flatnonzero(indicators).tolist(), seeds, strict=True):
         try:
-            trace = _local_update(kind, dataset, cfg, theta_k, round_index, n, grad_rng)
+            trace = _local_update(kind, dataset, cfg, theta_k, round_index, n, rng_from_seed(seed))
         except DivergenceError as exc:
             raise TrainingError(cfg.name, run_index, round_index, n, str(exc)) from exc
         deltas.append(trace.delta_w)
@@ -326,7 +354,7 @@ def run_training(
     The result is a pure function of (kind, dataset, cfg, run_index): all
     randomness flows through streams derived from ``cfg.master_seed``, one
     per (run, round) for participation and one per (run, round, agent) for
-    gradient sampling.
+    gradient sampling. Every round is planned before the first one runs.
     """
     theta = np.asarray(cfg.theta0, dtype=float)
     if theta.shape != (dataset.dimension,):
@@ -342,8 +370,9 @@ def run_training(
         initial_grad_norm_sq=float(grad0 @ grad0),
         records=[],
     )
-    for k in range(cfg.rounds):
-        record = run_round(kind, dataset, cfg, theta, k, run_index)
+    plans = _plan_rounds(cfg, dataset.n_agents, range(cfg.rounds), run_index)
+    for k, plan in enumerate(plans):
+        record = run_round(kind, dataset, cfg, theta, k, run_index, plan)
         trace.records.append(record)
         theta = record.theta
         logger.debug(

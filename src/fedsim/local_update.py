@@ -143,7 +143,7 @@ def sgd_local_update(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if not (np.isfinite(stepsize) and stepsize >= 0.0):
+    if not (math.isfinite(stepsize) and stepsize >= 0.0):
         raise ValueError("stepsize must be finite and >= 0")
     v_sq = np.zeros((1, steps))
     v_sq_row = v_sq[0]

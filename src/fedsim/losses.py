@@ -31,6 +31,10 @@ class LossKind(enum.Enum):
     QUADRATIC = "quadratic"
     LOGISTIC = "logistic"
 
+    # Members are singletons compared by identity, so identity hashing agrees
+    # with equality; Enum's own __hash__ runs in Python on every table lookup.
+    __hash__ = object.__hash__
+
 
 class SingularSystemError(ValueError):
     """The pooled normal equations are singular or too ill-conditioned."""

@@ -4,6 +4,12 @@ Every stream is addressed by (master seed, purpose label, integer indices).
 The address is hashed into the generator seed, so streams never overlap and
 adding a new purpose or index never perturbs an existing stream. This is
 what makes run- and agent-level parallelism incapable of changing results.
+
+``derive_rng`` builds one stream. ``derive_seeds`` computes the PCG64 seeds
+of many addresses at once: each address is still hashed with SHA-256, and
+then numpy's ``SeedSequence`` mixing (O'Neill's ``seed_seq``) runs as
+vectorized uint32 arithmetic over all of them. ``rng_from_seed`` turns one
+such seed into the generator ``derive_rng`` would have built.
 """
 
 from __future__ import annotations
@@ -11,14 +17,130 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_MASK32 = 0xFFFFFFFF
+_POOL = 4  # SeedSequence's default pool size, in uint32 words
+_WORDS = 8  # a SHA-256 digest whose top word is nonzero, in uint32 words
+
+
+def _digest(key: str) -> bytes:
+    return hashlib.sha256(key.encode("utf-8")).digest()
 
 
 def seed_sequence(master_seed: int, label: str, *indices: int) -> np.random.SeedSequence:
     key = "|".join([str(int(master_seed)), label, *(str(int(i)) for i in indices)])
-    digest = hashlib.sha256(key.encode("utf-8")).digest()
-    return np.random.SeedSequence(int.from_bytes(digest, "big"))
+    return np.random.SeedSequence(int.from_bytes(_digest(key), "big"))
 
 
 def derive_rng(master_seed: int, label: str, *indices: int) -> np.random.Generator:
     """Independent generator for the stream addressed by the given label and indices."""
     return np.random.default_rng(seed_sequence(master_seed, label, *indices))
+
+
+def _hash_consts(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``n`` (xor, multiply) constant pairs of a SeedSequence hash chain.
+
+    ``hashmix`` xors its word with the running constant, multiplies the
+    constant by ``mult`` and then the word by the new constant. The chain
+    never depends on the data, so it can be written out in advance.
+    """
+    xors, mults = [], []
+    const = init
+    for _ in range(n):
+        xors.append(const)
+        const = (const * mult) & _MASK32
+        mults.append(const)
+    return np.array(xors, dtype=np.uint32), np.array(mults, dtype=np.uint32)
+
+
+def _hashmix(words: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    out = (words ^ xors) * mults
+    return out ^ (out >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return out ^ (out >> 16)
+
+
+def _column(consts: tuple[np.ndarray, np.ndarray], start: int, stop: int):
+    return tuple(c[start:stop, None] for c in consts)
+
+
+# SeedSequence.mix_entropy for 8 entropy words, in the order it spends its
+# hash constants: the first 4 words fill the pool, then every pool word is
+# mixed into every other (12 constants), then the last 4 words are each
+# mixed into all 4 pool words (16 constants). Words are rows and addresses
+# columns, so every step reads whole contiguous rows.
+_CHAIN = _hash_consts(_INIT_A, _MULT_A, _POOL + _POOL * (_POOL - 1) + (_WORDS - _POOL) * _POOL)
+_FILL = _column(_CHAIN, 0, _POOL)
+_CROSS = [
+    (src, [dst for dst in range(_POOL) if dst != src],
+     _column(_CHAIN, _POOL + (_POOL - 1) * src, _POOL + (_POOL - 1) * (src + 1)))
+    for src in range(_POOL)
+]
+_TAIL = _column(_CHAIN, _POOL * _POOL, len(_CHAIN[0]))
+_TAIL_SOURCES = np.repeat(np.arange(_POOL, _WORDS), _POOL)
+# SeedSequence.generate_state(4, np.uint64): 8 uint32 words cycling over the pool.
+_STATE = _column(_hash_consts(_INIT_B, _MULT_B, 2 * _POOL), 0, 2 * _POOL)
+_STATE_SOURCES = np.arange(2 * _POOL) % _POOL
+
+
+def derive_seeds(master_seed: int, label: str, index_rows) -> np.ndarray:
+    """PCG64 seeds of many stream addresses, one ``(4,)`` uint64 row each.
+
+    Row ``r`` equals ``seed_sequence(master_seed, label, *index_rows[r])
+    .generate_state(4, np.uint64)`` bit for bit, so ``rng_from_seed`` of it
+    is the generator ``derive_rng`` gives for that address. The mixing is
+    vectorized over the rows; its fixed cost is over a hundred microseconds,
+    so single streams belong to ``derive_rng``.
+    """
+    index_rows = [tuple(row) for row in index_rows]
+    prefix = f"{int(master_seed)}|{label}"
+    # ``%d`` formats an index as ``str(int(index))`` does in ``seed_sequence``.
+    digests = b"".join(_digest(prefix + ("|%d" * len(row)) % row) for row in index_rows)
+    # SeedSequence reads the digest as an integer, least significant word first.
+    entropy = np.frombuffer(digests, dtype=">u4").reshape(-1, _WORDS).T[::-1].astype(np.uint32)
+
+    pool = _hashmix(entropy[:_POOL], *_FILL)
+    for src, dsts, consts in _CROSS:
+        pool[dsts] = _mix(pool[dsts], _hashmix(pool[src], *consts))
+    tail = _hashmix(entropy[_TAIL_SOURCES], *_TAIL)
+    for i in range(_WORDS - _POOL):
+        pool = _mix(pool, tail[_POOL * i:_POOL * (i + 1)])
+    state = _hashmix(pool[_STATE_SOURCES], *_STATE)
+    seeds = state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+    # SeedSequence drops leading zero words of its entropy integer, so a
+    # digest whose top word is zero mixes fewer words; let numpy do those.
+    for r in np.flatnonzero(entropy[-1] == 0).tolist():
+        seeds[r] = seed_sequence(master_seed, label, *index_rows[r]).generate_state(4, np.uint64)
+    return seeds
+
+
+class _FixedSeed(ISeedSequence):
+    """A seed sequence that hands PCG64 a precomputed ``(4,)`` uint64 seed."""
+
+    __slots__ = ("_seed",)
+
+    def __init__(self, seed: np.ndarray):
+        self._seed = seed
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != len(self._seed) or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds {len(self._seed)} uint64 words only")
+        return self._seed
+
+
+def rng_from_seed(seed) -> np.random.Generator:
+    """The generator whose PCG64 is seeded with one ``derive_seeds`` row."""
+    seed = np.ascontiguousarray(seed, dtype=np.uint64)
+    return np.random.Generator(np.random.PCG64(_FixedSeed(seed)))

@@ -6,8 +6,23 @@ kept free of the library's vectorized code paths.
 
 import numpy as np
 
-from fedsim.local_update import DivergenceError, LocalTrace, variance_reduced_grad
+from fedsim.federation import (
+    GRADIENT_LABEL,
+    PARTICIPATION_LABEL,
+    Algorithm,
+    TrainingError,
+    aggregate,
+    sample_participation,
+)
+from fedsim.local_update import (
+    DivergenceError,
+    LocalTrace,
+    sgd_local_update,
+    svrg_local_update,
+    variance_reduced_grad,
+)
 from fedsim.losses import LossKind, agent_full_grad, component_grad, component_loss
+from fedsim.seeding import derive_rng
 
 
 def central_diff_grad(kind, shard, i, theta, step=1e-6):
@@ -152,3 +167,41 @@ def two_pass_variance(values):
     values = list(values)
     mean = sum(values) / len(values)
     return sum((v - mean) ** 2 for v in values) / (len(values) - 1)
+
+
+def interleaved_run_training(kind, dataset, cfg, run_index=0):
+    """Rounds derived one at a time: each round draws its participation when
+    it starts, and each activation builds its own stream with ``derive_rng``.
+
+    Returns ``(indicators, theta, local_traces)`` per round; raises
+    ``TrainingError`` at the first diverging activation.
+    """
+    n_agents = dataset.n_agents
+    theta = np.asarray(cfg.theta0, dtype=float)
+    rounds = []
+    for k in range(cfg.rounds):
+        part_rng = derive_rng(cfg.master_seed, PARTICIPATION_LABEL, run_index, k)
+        if cfg.algorithm is Algorithm.FEDAVG_UNIFORM_BATCH:
+            chosen = part_rng.choice(n_agents, size=cfg.batch_size, replace=False)
+            indicators = np.zeros(n_agents, dtype=bool)
+            indicators[chosen] = True
+            divisors = np.full(cfg.batch_size, cfg.batch_size)
+        else:
+            probs = cfg.schedule.probabilities(k, n_agents)
+            indicators = sample_participation(probs, part_rng)
+            divisors = probs[indicators] * n_agents
+        traces = {}
+        for n in np.flatnonzero(indicators).tolist():
+            rng = derive_rng(cfg.master_seed, f"{GRADIENT_LABEL}/{cfg.name}", run_index, k, n)
+            shard = dataset.shards[n]
+            try:
+                if cfg.algorithm is Algorithm.FEDAVG_SVRG:
+                    traces[n] = svrg_local_update(kind, shard, theta, cfg.svrg, rng)
+                else:
+                    stepsize = cfg.sgd.stepsize_for_round(k)
+                    traces[n] = sgd_local_update(kind, shard, theta, cfg.sgd.steps, stepsize, rng)
+            except DivergenceError as exc:
+                raise TrainingError(cfg.name, run_index, k, n, str(exc)) from exc
+        theta = aggregate(theta, [t.delta_w for t in traces.values()], divisors)
+        rounds.append((indicators, theta, traces))
+    return rounds

@@ -19,13 +19,15 @@ from fedsim.federation import (
 )
 from fedsim.local_update import SvrgParams, svrg_local_update
 from fedsim.losses import (
+    AgentShard,
+    Dataset,
     LossKind,
     generate_regression_dataset,
     global_cost,
     global_grad,
     smoothness_constant,
 )
-from oracles import enumerate_aggregate_mean
+from oracles import enumerate_aggregate_mean, interleaved_run_training
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_trace.json"
 
@@ -317,6 +319,98 @@ class TestRunConfigValidation:
         assert constant.stepsize_for_round(99) == 0.2
         with pytest.raises(ValueError):
             SgdParams(steps=1, decay="bogus")
+
+
+class TestRoundPlanning:
+    """run_training draws every round's participation and gradient seeds
+    before its first round; a direct run_round call plans its own round."""
+
+    PROBS = [0.2, 0.5, 0.9, 0.35, 0.6]
+
+    @staticmethod
+    def config(algorithm, probs, rounds=6, master_seed=2024, stepsize=0.05):
+        common = dict(
+            name=algorithm.value, algorithm=algorithm, rounds=rounds,
+            schedule=ParticipationSchedule.per_agent_fixed(np.array(probs)),
+            theta0=np.zeros(2), master_seed=master_seed,
+        )
+        if algorithm is Algorithm.FEDAVG_SVRG:
+            svrg = SvrgParams(snapshots=2, inner_steps=3, stepsize=stepsize)
+            return RunConfig(**common, svrg=svrg)
+        sgd = SgdParams(steps=4, base_stepsize=stepsize, decay="per_round")
+        if algorithm is Algorithm.FEDAVG_UNIFORM_BATCH:
+            return RunConfig(**common, sgd=sgd, batch_size=2)
+        return RunConfig(**common, sgd=sgd)
+
+    @staticmethod
+    def assert_round_equal(rec, indicators, theta, traces):
+        assert rec.theta.tobytes() == theta.tobytes()
+        assert rec.indicators.tobytes() == indicators.tobytes()
+        assert list(rec.local_traces) == list(traces)
+        for n, local in traces.items():
+            assert rec.local_traces[n].delta_w.tobytes() == local.delta_w.tobytes()
+            assert rec.local_traces[n].v_sq_norms.tobytes() == local.v_sq_norms.tobytes()
+
+    def check_run(self, dataset, cfg, run_index):
+        trace = run_training(LossKind.QUADRATIC, dataset, cfg, run_index=run_index)
+        theta_k = trace.theta0
+        for k, rec in enumerate(trace.records):
+            direct = run_round(LossKind.QUADRATIC, dataset, cfg, theta_k, k, run_index=run_index)
+            self.assert_round_equal(direct, rec.indicators, rec.theta, rec.local_traces)
+            assert direct.cost == rec.cost
+            assert direct.grad_norm_sq == rec.grad_norm_sq
+            theta_k = rec.theta
+        reference = interleaved_run_training(LossKind.QUADRATIC, dataset, cfg, run_index)
+        assert len(reference) == len(trace.records)
+        for rec, (indicators, theta, traces) in zip(trace.records, reference):
+            self.assert_round_equal(rec, indicators, theta, traces)
+        return trace
+
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_run_round_reproduces_each_round_of_run_training(self, algorithm):
+        dataset, _ = small_dataset(n_agents=5)
+        trace = self.check_run(dataset, self.config(algorithm, self.PROBS), run_index=3)
+        assert sum(rec.n_active for rec in trace.records) > 0
+
+    @pytest.mark.parametrize("algorithm", [Algorithm.FEDAVG_SVRG, Algorithm.FEDAVG_PROB_SGD])
+    def test_some_rounds_without_active_agents(self, algorithm):
+        dataset, _ = small_dataset(n_agents=3)
+        cfg = self.config(algorithm, [0.15, 0.2, 0.1], rounds=10)
+        trace = self.check_run(dataset, cfg, run_index=1)
+        active = [rec.n_active for rec in trace.records]
+        assert 0 in active and max(active) > 0
+
+    @pytest.mark.parametrize("algorithm", [Algorithm.FEDAVG_SVRG, Algorithm.FEDAVG_PROB_SGD])
+    def test_no_round_has_active_agents(self, algorithm):
+        dataset, _ = small_dataset(n_agents=3)
+        cfg = self.config(algorithm, [1e-6, 1e-6, 1e-6], rounds=5)
+        trace = self.check_run(dataset, cfg, run_index=0)
+        assert all(rec.n_active == 0 for rec in trace.records)
+        assert all(rec.theta.tobytes() == trace.theta0.tobytes() for rec in trace.records)
+
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_training_error_names_the_diverging_activation(self, algorithm):
+        # Agent 3's samples are scaled so far that its local iterate
+        # overflows whenever it runs; the others stay finite. The run fails
+        # in the first round that activates agent 3, after later rounds'
+        # participation has already been drawn.
+        base, _ = small_dataset(n_agents=5)
+        shards = tuple(
+            AgentShard(shard.features * (1e60 if n == 3 else 1.0), shard.labels)
+            for n, shard in enumerate(base.shards)
+        )
+        dataset = Dataset(shards, base.dimension)
+        cfg = self.config(algorithm, self.PROBS, rounds=12, master_seed=5)
+        with pytest.raises(TrainingError) as expected:
+            interleaved_run_training(LossKind.QUADRATIC, dataset, cfg, run_index=2)
+        with pytest.raises(TrainingError) as err:
+            run_training(LossKind.QUADRATIC, dataset, cfg, run_index=2)
+        assert (err.value.algorithm, err.value.run_index) == (algorithm.value, 2)
+        assert (err.value.round_index, err.value.agent, err.value.reason) == (
+            expected.value.round_index, expected.value.agent, expected.value.reason,
+        )
+        assert err.value.agent == 3
+        assert err.value.round_index > 0
 
 
 class TestGoldenTrace:

@@ -178,8 +178,15 @@ def run_experiment(
     for alg in config.algorithms:
         alg_traces = [results[(alg.name, run_index)] for run_index in range(config.runs)]
         traces[alg.name] = alg_traces
+        activations = sum(rec.n_active for trace in alg_traces for rec in trace.records)
+        svrg = alg.algorithm is Algorithm.FEDAVG_SVRG
+        steps = alg.svrg.snapshots * alg.svrg.inner_steps if svrg else alg.sgd.steps
+        logger.info(
+            "algorithm %s: %d activations, %d local agent-steps across %d runs",
+            alg.name, activations, activations * steps, config.runs,
+        )
         bound = None
-        if alg.algorithm is Algorithm.FEDAVG_SVRG:
+        if svrg:
             bound = theorem_bound_check(
                 alg_traces,
                 smoothness,

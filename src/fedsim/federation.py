@@ -145,7 +145,8 @@ class RoundRecord:
     """State recorded after one training round.
 
     ``theta``, ``cost`` and ``grad_norm_sq`` describe the post-round global
-    parameter; ``local_traces`` maps each active agent to its local trace.
+    parameter; ``local_traces`` maps each active agent to its local trace
+    in a record from ``run_round`` and is empty in one from ``run_training``.
     """
 
     round_index: int
@@ -162,12 +163,20 @@ class RoundRecord:
 
 @dataclass
 class RunTrace:
-    """Whole-run record: initial state plus one RoundRecord per round."""
+    """Whole-run record: initial state plus one RoundRecord per round.
+
+    ``v_sq_norms`` keeps a variance-reduced run's squared directions, the
+    only per-activation output the bound statistics read: one
+    (snapshots, inner_steps) row per activation, stacked in (round,
+    ascending agent) order, the row-major order of the run's indicator
+    matrix. It is ``None`` for the baselines.
+    """
 
     theta0: np.ndarray
     initial_cost: float
     initial_grad_norm_sq: float
     records: list[RoundRecord]
+    v_sq_norms: np.ndarray | None = None
 
     @property
     def n_rounds(self) -> int:
@@ -355,6 +364,8 @@ def run_training(
     randomness flows through streams derived from ``cfg.master_seed``, one
     per (run, round) for participation and one per (run, round, agent) for
     gradient sampling. Every round is planned before the first one runs.
+    The returned records carry no local traces; a variance-reduced run
+    keeps its squared directions in ``RunTrace.v_sq_norms``.
     """
     theta = np.asarray(cfg.theta0, dtype=float)
     if theta.shape != (dataset.dimension,):
@@ -371,8 +382,17 @@ def run_training(
         records=[],
     )
     plans = _plan_rounds(cfg, dataset.n_agents, range(cfg.rounds), run_index)
+    if cfg.algorithm is Algorithm.FEDAVG_SVRG:
+        activations = sum(len(divisors) for _, divisors, _ in plans)
+        trace.v_sq_norms = np.empty((activations, cfg.svrg.snapshots, cfg.svrg.inner_steps))
+    start = 0
     for k, plan in enumerate(plans):
         record = run_round(kind, dataset, cfg, theta, k, run_index, plan)
+        if trace.v_sq_norms is not None:
+            for row, local in enumerate(record.local_traces.values(), start):
+                trace.v_sq_norms[row] = local.v_sq_norms
+            start += len(record.local_traces)
+        record.local_traces = {}
         trace.records.append(record)
         theta = record.theta
         logger.debug(

@@ -112,7 +112,9 @@ def _estimate_v_sq(
 
     Each cell averages over the runs in which that agent was active in that
     round; never-observed cells are imputed with the across-agent mean for
-    the round (zero if the whole round was silent across all runs).
+    the round (zero if the whole round was silent across all runs). A run's
+    ``v_sq_norms`` rows follow the row-major order of its indicator matrix,
+    so one masked addition per run adds each row to its cell, in run order.
     """
     shape = (params.snapshots, params.inner_steps)
     sums = np.zeros((rounds, n_agents) + shape)
@@ -120,20 +122,19 @@ def _estimate_v_sq(
     for trace in traces:
         if len(trace.records) != rounds:
             raise ValueError(f"trace has {len(trace.records)} rounds, expected {rounds}")
-        for rec in trace.records:
-            if len(rec.indicators) != n_agents:
-                raise ValueError(
-                    f"round {rec.round_index} covers {len(rec.indicators)} agents, "
-                    f"expected {n_agents}"
-                )
-            for agent, local in rec.local_traces.items():
-                if local.v_sq_norms.shape != shape:
-                    raise ValueError(
-                        f"local trace shape {local.v_sq_norms.shape} does not match "
-                        f"snapshots x inner_steps {shape}"
-                    )
-                sums[rec.round_index, agent] += local.v_sq_norms
-                counts[rec.round_index, agent] += 1
+        widths = {len(rec.indicators) for rec in trace.records}
+        if widths != {n_agents}:
+            raise ValueError(f"trace covers {sorted(widths)} agents, expected {n_agents}")
+        indicators = np.array([rec.indicators for rec in trace.records], dtype=bool)
+        expected = (int(indicators.sum()),) + shape
+        got = None if trace.v_sq_norms is None else trace.v_sq_norms.shape
+        if got != expected:
+            raise ValueError(
+                f"trace v_sq_norms has shape {got}, expected {expected} "
+                f"(activations x snapshots x inner_steps)"
+            )
+        sums[indicators] += trace.v_sq_norms
+        counts += indicators
 
     est = np.zeros_like(sums)
     observed = counts > 0
@@ -168,7 +169,8 @@ def theorem_bound_check(
     (stepsize applied inside the norm) taken before each inner step across
     earlier snapshot cycles, and an inverse-probability-weighted term over
     every squared stochastic direction. Traces must come from
-    variance-reduced runs whose shape matches ``params``.
+    variance-reduced runs whose shape matches ``params``; a baseline
+    trace keeps no ``v_sq_norms`` and raises ``ValueError``.
     """
     if not traces:
         raise ValueError("need at least one run trace")

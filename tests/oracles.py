@@ -205,3 +205,47 @@ def interleaved_run_training(kind, dataset, cfg, run_index=0):
         theta = aggregate(theta, [t.delta_w for t in traces.values()], divisors)
         rounds.append((indicators, theta, traces))
     return rounds
+
+
+def per_activation_estimate_v_sq(traces, rounds, n_agents, params):
+    """The bound statistics as one addition per activation, read from the
+    ``local_traces`` of every round record and validated activation by
+    activation: ``(E||v||^2 per (round, agent, snapshot, step), imputed)``.
+    Never-observed cells take the across-agent mean of their round, or zero.
+    """
+    shape = (params.snapshots, params.inner_steps)
+    sums = np.zeros((rounds, n_agents) + shape)
+    counts = np.zeros((rounds, n_agents))
+    for trace in traces:
+        if len(trace.records) != rounds:
+            raise ValueError(f"trace has {len(trace.records)} rounds, expected {rounds}")
+        for rec in trace.records:
+            if len(rec.indicators) != n_agents:
+                raise ValueError(
+                    f"round {rec.round_index} covers {len(rec.indicators)} agents, "
+                    f"expected {n_agents}"
+                )
+            for agent, local in rec.local_traces.items():
+                if local.v_sq_norms.shape != shape:
+                    raise ValueError(
+                        f"local trace shape {local.v_sq_norms.shape} does not match "
+                        f"snapshots x inner_steps {shape}"
+                    )
+                sums[rec.round_index, agent] += local.v_sq_norms
+                counts[rec.round_index, agent] += 1
+
+    est = np.zeros_like(sums)
+    observed = counts > 0
+    est[observed] = sums[observed] / counts[observed][:, None, None]
+    imputed = 0
+    for k in range(rounds):
+        missing = ~observed[k]
+        if not missing.any():
+            continue
+        if observed[k].any():
+            fill = est[k, observed[k]].mean(axis=0)
+        else:
+            fill = np.zeros(shape)
+        est[k, missing] = fill
+        imputed += int(missing.sum())
+    return est, imputed

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -166,9 +168,12 @@ class TestRunRound:
         trace = run_training(LossKind.QUADRATIC, dataset, cfg)
         rec = trace.records[0]
         assert rec.n_active == 2
-        assert set(rec.local_traces) == set(np.flatnonzero(rec.indicators))
+        # run_training keeps no local traces; the round replayed on its own has them.
+        direct = run_round(LossKind.QUADRATIC, dataset, cfg, trace.theta0, round_index=0)
+        assert direct.theta.tobytes() == rec.theta.tobytes()
+        assert set(direct.local_traces) == set(np.flatnonzero(rec.indicators))
         rebuilt = np.zeros(2)
-        for local in rec.local_traces.values():
+        for local in direct.local_traces.values():
             rebuilt = rebuilt + local.delta_w / 2
         assert np.allclose(rec.theta, rebuilt, atol=1e-14)
 
@@ -352,18 +357,27 @@ class TestRoundPlanning:
             assert rec.local_traces[n].v_sq_norms.tobytes() == local.v_sq_norms.tobytes()
 
     def check_run(self, dataset, cfg, run_index):
+        """Each round of run_training equals a direct run_round and the
+        oracle; an SVRG run's norms rows are the direct rounds' local norms."""
         trace = run_training(LossKind.QUADRATIC, dataset, cfg, run_index=run_index)
-        theta_k = trace.theta0
-        for k, rec in enumerate(trace.records):
-            direct = run_round(LossKind.QUADRATIC, dataset, cfg, theta_k, k, run_index=run_index)
-            self.assert_round_equal(direct, rec.indicators, rec.theta, rec.local_traces)
-            assert direct.cost == rec.cost
-            assert direct.grad_norm_sq == rec.grad_norm_sq
-            theta_k = rec.theta
         reference = interleaved_run_training(LossKind.QUADRATIC, dataset, cfg, run_index)
         assert len(reference) == len(trace.records)
-        for rec, (indicators, theta, traces) in zip(trace.records, reference):
-            self.assert_round_equal(rec, indicators, theta, traces)
+        theta_k = trace.theta0
+        rows = []
+        for k, (rec, (indicators, theta, traces)) in enumerate(zip(trace.records, reference)):
+            direct = run_round(LossKind.QUADRATIC, dataset, cfg, theta_k, k, run_index=run_index)
+            self.assert_round_equal(direct, indicators, theta, traces)
+            self.assert_round_equal(rec, direct.indicators, direct.theta, {})
+            assert direct.cost == rec.cost
+            assert direct.grad_norm_sq == rec.grad_norm_sq
+            rows.extend(local.v_sq_norms for local in direct.local_traces.values())
+            theta_k = rec.theta
+        if cfg.algorithm is Algorithm.FEDAVG_SVRG:
+            shape = (len(rows), cfg.svrg.snapshots, cfg.svrg.inner_steps)
+            assert trace.v_sq_norms.shape == shape
+            assert trace.v_sq_norms.tobytes() == b"".join(row.tobytes() for row in rows)
+        else:
+            assert trace.v_sq_norms is None
         return trace
 
     @pytest.mark.parametrize("algorithm", list(Algorithm))
@@ -411,6 +425,34 @@ class TestRoundPlanning:
         )
         assert err.value.agent == 3
         assert err.value.round_index > 0
+
+
+class TestRunPayload:
+    """What run_training hands back, and a worker pickles: per-round state
+    and, for SVRG, one norms array (its rows are pinned by
+    TestRoundPlanning.check_run); no per-agent traces."""
+
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_records_hold_no_local_traces(self, algorithm):
+        dataset, _ = small_dataset(n_agents=5)
+        cfg = TestRoundPlanning.config(algorithm, TestRoundPlanning.PROBS)
+        trace = run_training(LossKind.QUADRATIC, dataset, cfg, run_index=1)
+        assert sum(rec.n_active for rec in trace.records) > 0
+        assert all(rec.local_traces == {} for rec in trace.records)
+
+    @pytest.mark.parametrize("algorithm", [Algorithm.FEDAVG_PROB_SGD, Algorithm.FEDAVG_UNIFORM_BATCH])
+    def test_baseline_payload_does_not_grow_with_local_steps(self, algorithm):
+        dataset, _ = small_dataset(n_agents=5)
+        sizes = []
+        for steps in (2, 40):
+            cfg = dataclasses.replace(
+                TestRoundPlanning.config(algorithm, TestRoundPlanning.PROBS),
+                sgd=SgdParams(steps=steps, base_stepsize=0.05),
+            )
+            trace = run_training(LossKind.QUADRATIC, dataset, cfg, run_index=0)
+            assert trace.v_sq_norms is None
+            sizes.append(len(pickle.dumps(trace)))
+        assert sizes[0] == sizes[1]
 
 
 class TestGoldenTrace:

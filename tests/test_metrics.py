@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,14 @@ from fedsim.federation import (
     RoundRecord,
     RunConfig,
     RunTrace,
+    SgdParams,
+    run_round,
     run_training,
 )
-from fedsim.local_update import LocalTrace, SvrgParams
+from fedsim.local_update import SvrgParams
 from fedsim.losses import LossKind, generate_regression_dataset, global_cost, least_squares_oracle
 from fedsim.metrics import (
+    _estimate_v_sq,
     bound_initial_term,
     cep_radius,
     cep_radius_2d,
@@ -21,7 +26,7 @@ from fedsim.metrics import (
     summarize_runs,
     theorem_bound_check,
 )
-from oracles import two_pass_variance
+from oracles import per_activation_estimate_v_sq, two_pass_variance
 
 
 def synthetic_traces(rng, runs=3, rounds=4, n_agents=3, snapshots=3, inner_steps=4,
@@ -30,32 +35,40 @@ def synthetic_traces(rng, runs=3, rounds=4, n_agents=3, snapshots=3, inner_steps
     traces = []
     for _ in range(runs):
         records = []
+        rows = []
         for k in range(rounds):
             indicators = rng.random(n_agents) < 0.6
             if silent_agent is not None:
                 indicators[silent_agent] = False
-            locals_ = {
-                int(n): LocalTrace(
-                    v_sq_norms=rng.random((snapshots, inner_steps)),
-                    delta_w=rng.standard_normal(2),
-                )
-                for n in np.flatnonzero(indicators)
-            }
+            rows.extend(rng.random((snapshots, inner_steps)) for _ in np.flatnonzero(indicators))
             records.append(RoundRecord(
                 round_index=k,
                 indicators=indicators,
                 theta=rng.standard_normal(2),
                 cost=float(rng.random()),
                 grad_norm_sq=float(rng.random()),
-                local_traces=locals_,
             ))
         traces.append(RunTrace(
             theta0=np.zeros(2),
             initial_cost=2.0,
             initial_grad_norm_sq=float(rng.random()),
             records=records,
+            v_sq_norms=np.array(rows).reshape(len(rows), snapshots, inner_steps),
         ))
     return traces
+
+
+def activation_norms(trace):
+    """``{(round, agent): row}``: the trace's norms rows, dealt out over its
+    indicator matrix one round, then one agent, at a time."""
+    cells = {}
+    rows = iter(trace.v_sq_norms)
+    for k, rec in enumerate(trace.records):
+        for n in range(len(rec.indicators)):
+            if rec.indicators[n]:
+                cells[k, n] = next(rows)
+    assert next(rows, None) is None
+    return cells
 
 
 def oracle_bound_terms(traces, smoothness, params, probs):
@@ -64,15 +77,12 @@ def oracle_bound_terms(traces, smoothness, params, probs):
     s_count, m_count = params.snapshots, params.inner_steps
     delta = params.stepsize
 
+    norms = [activation_norms(t) for t in traces]
     est = np.zeros((rounds, n_agents, s_count, m_count))
     for k in range(rounds):
         observed = []
         for n in range(n_agents):
-            cells = [
-                t.records[k].local_traces[n].v_sq_norms
-                for t in traces
-                if n in t.records[k].local_traces
-            ]
+            cells = [run[k, n] for run in norms if (k, n) in run]
             if cells:
                 est[k, n] = sum(cells) / len(cells)
                 observed.append(n)
@@ -233,7 +243,7 @@ class TestBoundCheck:
         assert check.drift_term == pytest.approx(drift, rel=1e-12)
         assert check.variance_term == pytest.approx(variance, rel=1e-12)
         never_active = sum(
-            all(n not in t.records[k].local_traces for t in traces)
+            all(not t.records[k].indicators[n] for t in traces)
             for k in range(4)
             for n in range(3)
         )
@@ -242,6 +252,22 @@ class TestBoundCheck:
         assert check.rhs == pytest.approx(
             check.init_term + drift + variance, rel=1e-12
         )
+
+    def test_real_runs_match_per_activation_reference(self):
+        dataset, cfg, traces, probs = tiny_experiment(rounds=8, runs=3, probs=(0.3, 0.9))
+        replayed = []
+        for r, trace in enumerate(traces):
+            records = []
+            theta_k = trace.theta0
+            for k in range(cfg.rounds):
+                records.append(run_round(LossKind.QUADRATIC, dataset, cfg, theta_k, k, run_index=r))
+                theta_k = records[-1].theta
+            replayed.append(RunTrace(trace.theta0, trace.initial_cost,
+                                     trace.initial_grad_norm_sq, records))
+        est, imputed = _estimate_v_sq(traces, 8, 2, cfg.svrg)
+        want_est, want_imputed = per_activation_estimate_v_sq(replayed, 8, 2, cfg.svrg)
+        assert est.tobytes() == want_est.tobytes()
+        assert imputed == want_imputed
 
     def test_lhs_matches_recorded_gradient_norms(self, rng):
         traces = synthetic_traces(rng, runs=2, rounds=3)
@@ -270,6 +296,48 @@ class TestBoundCheck:
         good = synthetic_traces(rng, snapshots=3, inner_steps=4)
         with pytest.raises(ValueError):
             theorem_bound_check(good, 1.0, 2.0, 1.0, params, np.full((9, 3), 0.5))
+
+
+class TestBoundStatisticsValidation:
+    """Each trace is checked once: round count, indicator width and the
+    shape of its norms array."""
+
+    PARAMS = SvrgParams(3, 4, 0.1)
+
+    def check(self, traces, rounds=4, n_agents=3):
+        probs = np.full((rounds, n_agents), 0.5)
+        return theorem_bound_check(traces, 1.0, 2.0, 1.0, self.PARAMS, probs)
+
+    def test_baseline_run_rejected(self):
+        dataset, cfg, traces, probs = tiny_experiment(rounds=3, runs=1)
+        sgd = RunConfig(
+            name="sgd", algorithm=Algorithm.FEDAVG_PROB_SGD, rounds=3,
+            schedule=cfg.schedule, theta0=np.zeros(2), master_seed=5,
+            sgd=SgdParams(steps=6),
+        )
+        baseline = run_training(LossKind.QUADRATIC, dataset, sgd)
+        active = sum(rec.n_active for rec in baseline.records)
+        with pytest.raises(ValueError, match=re.escape(f"shape None, expected ({active}, 2, 3)")):
+            theorem_bound_check([baseline], 1.0, 2.0, 1.0, cfg.svrg, probs)
+
+    @pytest.mark.parametrize("cut", [lambda a: a[:-1], lambda a: a[:, :2], lambda a: a[0]])
+    def test_misshaped_norms_rejected(self, rng, cut):
+        traces = synthetic_traces(rng)
+        expected = traces[0].v_sq_norms.shape
+        traces[0].v_sq_norms = cut(traces[0].v_sq_norms)
+        bad = traces[0].v_sq_norms.shape
+        with pytest.raises(ValueError, match=re.escape(f"shape {bad}, expected {expected}")):
+            self.check(traces)
+
+    def test_round_count_checked(self, rng):
+        traces = synthetic_traces(rng, rounds=3)
+        with pytest.raises(ValueError, match="trace has 3 rounds, expected 4"):
+            self.check(traces)
+
+    def test_indicator_width_checked(self, rng):
+        traces = synthetic_traces(rng, n_agents=2)
+        with pytest.raises(ValueError, match=re.escape("covers [2] agents, expected 3")):
+            self.check(traces)
 
 
 class TestSummarize:

@@ -4,6 +4,7 @@ Examples are derandomized, so every run of the suite checks the same cases.
 """
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
+from fedsim import metrics  # noqa: E402
 from fedsim.config import PROB_FLOOR, parse_config  # noqa: E402
-from fedsim.federation import aggregate  # noqa: E402
+from fedsim.federation import RoundRecord, RunTrace, aggregate  # noqa: E402
 from fedsim.local_update import (  # noqa: E402
     DivergenceError,
+    LocalTrace,
     SvrgParams,
     sgd_local_update,
     svrg_local_update,
@@ -26,6 +29,7 @@ from oracles import (  # noqa: E402
     enumerate_aggregate_mean,
     loop_sgd_local_update,
     loop_svrg_local_update,
+    per_activation_estimate_v_sq,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -167,3 +171,66 @@ def test_solvers_match_scalar_loops(case):
     assert _outcome(sgd_local_update, kind, shard, theta, steps, stepsize, rngs[2]) == _outcome(
         loop_sgd_local_update, kind, shard, theta, steps, stepsize, rngs[3]
     )
+
+
+@st.composite
+def bound_statistics_cases(draw):
+    runs = draw(st.integers(1, 4))
+    rounds = draw(st.integers(2, 5))
+    n_agents = draw(st.integers(1, 5))
+    params = SvrgParams(draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.floats(1e-3, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    indicators = rng.random((runs, rounds, n_agents)) < draw(st.sampled_from([0.2, 0.5, 0.9]))
+    # One round silent in every run, and in another round one agent that no run observed.
+    silent_round, unseen_round = draw(st.permutations(range(rounds)))[:2]
+    indicators[:, silent_round] = False
+    indicators[:, unseen_round, draw(st.integers(0, n_agents - 1))] = False
+    # Norms spread over twelve decades, so the order of the additions shows in the bits.
+    shape = (int(indicators.sum()), params.snapshots, params.inner_steps)
+    norms = rng.random(shape) * 10.0 ** rng.integers(-6, 7, shape)
+    probs = rng.uniform(PROB_FLOOR, 1.0, (rounds, n_agents))
+    grad_norms = rng.random((runs, rounds + 1))
+    return indicators, norms, probs, grad_norms, params
+
+
+def _streamed_and_per_activation(indicators, norms, grad_norms):
+    """The same runs twice: as run_training keeps them (one norms array per
+    run, no local traces) and with one LocalTrace per activation."""
+    streamed, per_activation = [], []
+    start = 0
+    for run, grads in zip(indicators, grad_norms):
+        run_norms = norms[start:start + int(run.sum())]
+        start += len(run_norms)
+        rows = iter(run_norms)
+        records, local_records = [], []
+        for k, active in enumerate(run):
+            state = dict(round_index=k, indicators=active, theta=np.zeros(1),
+                         cost=0.0, grad_norm_sq=float(grads[k + 1]))
+            locals_ = {n: LocalTrace(v_sq_norms=next(rows), delta_w=np.zeros(1))
+                       for n in np.flatnonzero(active).tolist()}
+            records.append(RoundRecord(**state))
+            local_records.append(RoundRecord(**state, local_traces=locals_))
+        streamed.append(RunTrace(np.zeros(1), 3.0, float(grads[0]), records, run_norms))
+        per_activation.append(RunTrace(np.zeros(1), 3.0, float(grads[0]), local_records))
+    return streamed, per_activation
+
+
+@SETTINGS
+@given(bound_statistics_cases())
+def test_streamed_bound_statistics_match_per_activation_loop(case):
+    indicators, norms, probs, grad_norms, params = case
+    _, rounds, n_agents = indicators.shape
+    streamed, per_activation = _streamed_and_per_activation(indicators, norms, grad_norms)
+
+    est, imputed = metrics._estimate_v_sq(streamed, rounds, n_agents, params)
+    want_est, want_imputed = per_activation_estimate_v_sq(per_activation, rounds, n_agents, params)
+    assert est.tobytes() == want_est.tobytes()
+    assert imputed == want_imputed >= n_agents + 1
+
+    got = metrics.theorem_bound_check(streamed, 2.5, 3.0, 1.0, params, probs)
+    with mock.patch.object(metrics, "_estimate_v_sq", per_activation_estimate_v_sq):
+        want = metrics.theorem_bound_check(per_activation, 2.5, 3.0, 1.0, params, probs)
+    assert (got.init_term, got.drift_term, got.variance_term, got.imputed_cells) == (
+        want.init_term, want.drift_term, want.variance_term, want.imputed_cells,
+    )
+    assert (got.lhs, got.rhs) == (want.lhs, want.rhs)

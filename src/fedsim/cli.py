@@ -46,6 +46,13 @@ def _load(spec: str) -> ExperimentConfig:
     raise ConfigError(f"config file {spec!r} does not exist")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _cmd_run(args) -> int:
     config = _load(args.config).with_overrides(master_seed=args.master_seed)
     result = run_experiment(config, output_dir=args.output_dir, workers=args.workers)
@@ -84,7 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute an experiment config and write artifacts")
     run_p.add_argument("config", help="config path or builtin name")
-    run_p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    run_p.add_argument(
+        "--workers", type=_positive_int, default=1, help="parallel worker processes (>= 1)"
+    )
     run_p.add_argument("--output-dir", default=None, help="override the config's output_dir")
     run_p.add_argument(
         "--master-seed", type=int, default=None, help="override the config's master_seed"

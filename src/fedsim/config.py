@@ -43,7 +43,6 @@ from __future__ import annotations
 import importlib.resources
 import json
 import re
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +54,7 @@ from .federation import (
     ScheduleKind,
     SgdParams,
 )
+from .frozen import Frozen
 from .local_update import SvrgParams
 
 PROB_FLOOR = 1e-6
@@ -65,29 +65,31 @@ class ConfigError(ValueError):
     """A config document failed to parse or validate; names the field path."""
 
 
-@dataclass(frozen=True)
-class DataConfig:
+class DataConfig(Frozen):
     """Synthetic-dataset settings shared by every algorithm of an experiment."""
 
-    n_agents: int
-    samples_per_agent: int
-    dimension: int
-    noise_std: float
-    data_seed: int
+    def __init__(
+        self, n_agents: int, samples_per_agent: int, dimension: int, noise_std: float,
+        data_seed: int,
+    ):
+        self.__dict__.update(
+            n_agents=n_agents, samples_per_agent=samples_per_agent, dimension=dimension,
+            noise_std=noise_std, data_seed=data_seed,
+        )
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Frozen):
     """Fully resolved experiment: dataset, Monte Carlo plan, algorithm runs."""
 
-    name: str
-    data: DataConfig
-    runs: int
-    master_seed: int
-    output_dir: str
-    theta0: tuple[float, ...]
-    schedule: ParticipationSchedule
-    algorithms: tuple[RunConfig, ...]
+    def __init__(
+        self, name: str, data: DataConfig, runs: int, master_seed: int, output_dir: str,
+        theta0: tuple[float, ...], schedule: ParticipationSchedule,
+        algorithms: tuple[RunConfig, ...],
+    ):
+        self.__dict__.update(
+            name=name, data=data, runs=runs, master_seed=master_seed, output_dir=output_dir,
+            theta0=theta0, schedule=schedule, algorithms=algorithms,
+        )
 
     def to_dict(self) -> dict:
         """Canonical JSON-ready form; parsing it back yields an identical config."""
@@ -111,18 +113,26 @@ class ExperimentConfig:
     def with_overrides(
         self, master_seed: int | None = None, output_dir: str | None = None
     ) -> "ExperimentConfig":
-        cfg = self
-        if output_dir is not None:
-            cfg = replace(cfg, output_dir=output_dir)
-        if master_seed is not None:
+        """This config with a new master seed (in every algorithm too) or output directory."""
+        algorithms = self.algorithms
+        if master_seed is None:
+            master_seed = self.master_seed
+        else:
             master_seed = _as_int(
                 master_seed, "master_seed override", minimum=0, maximum=2**64 - 1
             )
             algorithms = tuple(
-                replace(alg, master_seed=master_seed) for alg in cfg.algorithms
+                RunConfig(
+                    alg.name, alg.algorithm, alg.rounds, alg.schedule, alg.theta0,
+                    master_seed, alg.svrg, alg.sgd, alg.batch_size,
+                )
+                for alg in algorithms
             )
-            cfg = replace(cfg, master_seed=master_seed, algorithms=algorithms)
-        return cfg
+        return ExperimentConfig(
+            self.name, self.data, self.runs, master_seed,
+            self.output_dir if output_dir is None else output_dir,
+            self.theta0, self.schedule, algorithms,
+        )
 
 
 def _expect_mapping(node, path: str) -> dict:

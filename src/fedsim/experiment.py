@@ -14,7 +14,6 @@ import csv
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,20 +32,25 @@ from .metrics import BoundCheck, McSummary, summarize_runs, theorem_bound_check
 logger = logging.getLogger(__name__)
 
 
-@dataclass
 class ExperimentResult:
     """In-memory view of a completed experiment."""
 
-    config: ExperimentConfig
-    dataset: Dataset
-    theta_true: np.ndarray
-    theta_star: np.ndarray
-    f_star: float
-    smoothness: float
-    traces: dict[str, list[RunTrace]]
-    summaries: dict[str, McSummary]
-    bounds: dict[str, BoundCheck]
-    output_dir: Path
+    def __init__(
+        self, config: ExperimentConfig, dataset: Dataset, theta_true: np.ndarray,
+        theta_star: np.ndarray, f_star: float, smoothness: float,
+        traces: dict[str, list[RunTrace]], summaries: dict[str, McSummary],
+        bounds: dict[str, BoundCheck], output_dir: Path,
+    ):
+        self.config = config
+        self.dataset = dataset
+        self.theta_true = theta_true
+        self.theta_star = theta_star
+        self.f_star = f_star
+        self.smoothness = smoothness
+        self.traces = traces
+        self.summaries = summaries
+        self.bounds = bounds
+        self.output_dir = output_dir
 
 
 def build_dataset(config: ExperimentConfig) -> tuple[Dataset, np.ndarray]:
@@ -160,6 +164,8 @@ def run_experiment(
         for run_index in range(config.runs)
     ]
     results: dict[tuple[str, int], RunTrace] = {}
+    # The pool forks all its workers at the first submit; more than one per job idles.
+    workers = min(workers, len(jobs))
     if workers <= 1:
         for alg, run_index in jobs:
             results[(alg.name, run_index)] = _run_job((dataset, alg, run_index))

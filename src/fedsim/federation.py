@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from .frozen import Frozen
 from .local_update import (
     DivergenceError,
     LocalTrace,
@@ -59,8 +59,7 @@ def _check_probs(probs, what: str, ndim: int) -> np.ndarray:
     return probs
 
 
-@dataclass(frozen=True)
-class ParticipationSchedule:
+class ParticipationSchedule(Frozen):
     """Per-agent, per-round activation probabilities.
 
     Three layouts: one probability shared by everyone, one fixed
@@ -69,21 +68,17 @@ class ParticipationSchedule:
     lie in (0, 1] and the array must have the layout's dimension.
     """
 
-    kind: ScheduleKind
-    constant: float | None = None
-    per_agent: np.ndarray | None = None
-    matrix: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind is ScheduleKind.CONSTANT:
-            p = _check_probs(self.constant, "participation probability", ndim=0)
-            object.__setattr__(self, "constant", float(p))
-        elif self.kind is ScheduleKind.PER_AGENT:
-            probs = _check_probs(self.per_agent, "per-agent probabilities", ndim=1)
-            object.__setattr__(self, "per_agent", probs)
+    def __init__(
+        self, kind: ScheduleKind, constant: float | None = None,
+        per_agent: np.ndarray | None = None, matrix: np.ndarray | None = None,
+    ):
+        if kind is ScheduleKind.CONSTANT:
+            constant = float(_check_probs(constant, "participation probability", ndim=0))
+        elif kind is ScheduleKind.PER_AGENT:
+            per_agent = _check_probs(per_agent, "per-agent probabilities", ndim=1)
         else:
-            matrix = _check_probs(self.matrix, "probability matrix (rounds x agents)", ndim=2)
-            object.__setattr__(self, "matrix", matrix)
+            matrix = _check_probs(matrix, "probability matrix (rounds x agents)", ndim=2)
+        self.__dict__.update(kind=kind, constant=constant, per_agent=per_agent, matrix=matrix)
 
     @classmethod
     def constant_uniform(cls, p: float) -> "ParticipationSchedule":
@@ -118,21 +113,21 @@ class ParticipationSchedule:
         return self.matrix[round_index]
 
 
-@dataclass(frozen=True)
-class SgdParams:
-    """Baseline local-SGD settings; the stepsize schedule is resolved per round."""
+class SgdParams(Frozen):
+    """Baseline local-SGD settings; the stepsize schedule is resolved per round.
 
-    steps: int
-    base_stepsize: float = 0.1
-    decay: str = "per_round"  # "per_round": base/sqrt(k+1); "constant": base
+    decay : "per_round" for base_stepsize / sqrt(k + 1), "constant" for
+            base_stepsize in every round
+    """
 
-    def __post_init__(self):
-        if self.steps < 1:
+    def __init__(self, steps: int, base_stepsize: float = 0.1, decay: str = "per_round"):
+        if steps < 1:
             raise ValueError("steps must be >= 1")
-        if not (np.isfinite(self.base_stepsize) and self.base_stepsize > 0.0):
+        if not (np.isfinite(base_stepsize) and base_stepsize > 0.0):
             raise ValueError("base_stepsize must be finite and > 0")
-        if self.decay not in ("per_round", "constant"):
-            raise ValueError(f"unknown decay mode {self.decay!r}")
+        if decay not in ("per_round", "constant"):
+            raise ValueError(f"unknown decay mode {decay!r}")
+        self.__dict__.update(steps=steps, base_stepsize=base_stepsize, decay=decay)
 
     def stepsize_for_round(self, round_index: int) -> float:
         if self.decay == "constant":
@@ -140,7 +135,6 @@ class SgdParams:
         return self.base_stepsize / np.sqrt(round_index + 1.0)
 
 
-@dataclass
 class RoundRecord:
     """State recorded after one training round.
 
@@ -149,19 +143,22 @@ class RoundRecord:
     in a record from ``run_round`` and is empty in one from ``run_training``.
     """
 
-    round_index: int
-    indicators: np.ndarray
-    theta: np.ndarray
-    cost: float
-    grad_norm_sq: float
-    local_traces: dict[int, LocalTrace] = field(default_factory=dict)
+    def __init__(
+        self, round_index: int, indicators: np.ndarray, theta: np.ndarray, cost: float,
+        grad_norm_sq: float, local_traces: dict[int, LocalTrace] | None = None,
+    ):
+        self.round_index = round_index
+        self.indicators = indicators
+        self.theta = theta
+        self.cost = cost
+        self.grad_norm_sq = grad_norm_sq
+        self.local_traces = {} if local_traces is None else local_traces
 
     @property
     def n_active(self) -> int:
         return int(self.indicators.sum())
 
 
-@dataclass
 class RunTrace:
     """Whole-run record: initial state plus one RoundRecord per round.
 
@@ -172,11 +169,15 @@ class RunTrace:
     matrix. It is ``None`` for the baselines.
     """
 
-    theta0: np.ndarray
-    initial_cost: float
-    initial_grad_norm_sq: float
-    records: list[RoundRecord]
-    v_sq_norms: np.ndarray | None = None
+    def __init__(
+        self, theta0: np.ndarray, initial_cost: float, initial_grad_norm_sq: float,
+        records: list[RoundRecord], v_sq_norms: np.ndarray | None = None,
+    ):
+        self.theta0 = theta0
+        self.initial_cost = initial_cost
+        self.initial_grad_norm_sq = initial_grad_norm_sq
+        self.records = records
+        self.v_sq_norms = v_sq_norms
 
     @property
     def n_rounds(self) -> int:
@@ -192,31 +193,28 @@ class RunTrace:
         return self.records[-1].theta if self.records else self.theta0
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Frozen):
     """Everything one training run needs besides the dataset itself."""
 
-    name: str
-    algorithm: Algorithm
-    rounds: int
-    schedule: ParticipationSchedule
-    theta0: np.ndarray
-    master_seed: int
-    svrg: SvrgParams | None = None
-    sgd: SgdParams | None = None
-    batch_size: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta0", np.asarray(self.theta0, dtype=float))
-        if self.rounds < 0:
+    def __init__(
+        self, name: str, algorithm: Algorithm, rounds: int, schedule: ParticipationSchedule,
+        theta0: np.ndarray, master_seed: int, svrg: SvrgParams | None = None,
+        sgd: SgdParams | None = None, batch_size: int | None = None,
+    ):
+        theta0 = np.asarray(theta0, dtype=float)
+        if rounds < 0:
             raise ValueError("rounds must be >= 0")
-        if self.algorithm is Algorithm.FEDAVG_SVRG and self.svrg is None:
+        if algorithm is Algorithm.FEDAVG_SVRG and svrg is None:
             raise ValueError("fedavg_svrg requires svrg parameters")
-        if self.algorithm is not Algorithm.FEDAVG_SVRG and self.sgd is None:
-            raise ValueError(f"{self.algorithm.value} requires sgd parameters")
-        if self.algorithm is Algorithm.FEDAVG_UNIFORM_BATCH:
-            if self.batch_size is None or self.batch_size < 1:
+        if algorithm is not Algorithm.FEDAVG_SVRG and sgd is None:
+            raise ValueError(f"{algorithm.value} requires sgd parameters")
+        if algorithm is Algorithm.FEDAVG_UNIFORM_BATCH:
+            if batch_size is None or batch_size < 1:
                 raise ValueError("fedavg_uniform_batch requires batch_size >= 1")
+        self.__dict__.update(
+            name=name, algorithm=algorithm, rounds=rounds, schedule=schedule, theta0=theta0,
+            master_seed=master_seed, svrg=svrg, sgd=sgd, batch_size=batch_size,
+        )
 
 
 class TrainingError(RuntimeError):

@@ -10,15 +10,14 @@ evaluation consumes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .frozen import Frozen
 from .losses import AgentShard, LossKind, agent_full_grad, component_grad
 
 
-@dataclass(frozen=True)
-class SvrgParams:
+class SvrgParams(Frozen):
     """Shape of one variance-reduced local update.
 
     snapshots   : number of full-gradient anchor refreshes per round
@@ -27,21 +26,17 @@ class SvrgParams:
                   permitted for no-movement diagnostics)
     """
 
-    snapshots: int
-    inner_steps: int
-    stepsize: float
-
-    def __post_init__(self):
-        if self.snapshots < 1:
+    def __init__(self, snapshots: int, inner_steps: int, stepsize: float):
+        if snapshots < 1:
             raise ValueError("snapshots must be >= 1")
-        if self.inner_steps < 1:
+        if inner_steps < 1:
             raise ValueError("inner_steps must be >= 1")
-        if not (np.isfinite(self.stepsize) and self.stepsize >= 0.0):
+        if not (np.isfinite(stepsize) and stepsize >= 0.0):
             raise ValueError("stepsize must be finite and >= 0")
+        self.__dict__.update(snapshots=snapshots, inner_steps=inner_steps, stepsize=stepsize)
 
 
-@dataclass(frozen=True)
-class LocalTrace:
+class LocalTrace(Frozen):
     """Outcome of one agent-local update.
 
     v_sq_norms : squared norms of the stochastic directions in execution
@@ -50,8 +45,8 @@ class LocalTrace:
     delta_w    : final local iterate minus the round's starting point
     """
 
-    v_sq_norms: np.ndarray
-    delta_w: np.ndarray
+    def __init__(self, v_sq_norms: np.ndarray, delta_w: np.ndarray):
+        self.__dict__.update(v_sq_norms=v_sq_norms, delta_w=delta_w)
 
 
 class DivergenceError(RuntimeError):

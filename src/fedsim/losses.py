@@ -20,9 +20,10 @@ random generator used for data synthesis.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 import numpy as np
+
+from .frozen import Frozen
 
 
 class LossKind(enum.Enum):
@@ -40,22 +41,16 @@ class SingularSystemError(ValueError):
     """The pooled normal equations are singular or too ill-conditioned."""
 
 
-@dataclass(frozen=True)
-class AgentShard:
+class AgentShard(Frozen):
     """One agent's local supervised dataset.
 
     features : (n_samples, dim) array, one input row per sample
     labels   : (n_samples,) array of targets
     """
 
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        features = np.asarray(self.features, dtype=float)
-        labels = np.asarray(self.labels, dtype=float)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
+    def __init__(self, features: np.ndarray, labels: np.ndarray):
+        features = np.asarray(features, dtype=float)
+        labels = np.asarray(labels, dtype=float)
         if features.ndim != 2:
             raise ValueError("features must be a 2-D array")
         if labels.ndim != 1:
@@ -68,13 +63,13 @@ class AgentShard:
             raise ValueError("shard must contain at least one sample")
         if not (np.isfinite(features).all() and np.isfinite(labels).all()):
             raise ValueError("shard entries must be finite")
+        self.__dict__.update(features=features, labels=labels)
 
     @classmethod
     def _view(cls, features: np.ndarray, labels: np.ndarray) -> "AgentShard":
         """A shard over arrays that were already checked, built without checking them again."""
         shard = object.__new__(cls)
-        object.__setattr__(shard, "features", features)
-        object.__setattr__(shard, "labels", labels)
+        shard.__dict__.update(features=features, labels=labels)
         return shard
 
     @property
@@ -86,8 +81,7 @@ class AgentShard:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Frozen):
     """Ordered collection of agent shards sharing one feature dimension.
 
     The samples are stored once, stacked over agents: ``features`` is
@@ -96,19 +90,14 @@ class Dataset:
     hold the same number of samples.
     """
 
-    shards: tuple[AgentShard, ...]
-    dimension: int
-    features: np.ndarray = field(init=False, repr=False, compare=False)
-    labels: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        shards = tuple(self.shards)
+    def __init__(self, shards: tuple[AgentShard, ...], dimension: int):
+        shards = tuple(shards)
         if len(shards) < 1:
             raise ValueError("dataset must contain at least one shard")
         for n, shard in enumerate(shards):
-            if shard.dim != self.dimension:
+            if shard.dim != dimension:
                 raise ValueError(
-                    f"shard {n} has dimension {shard.dim}, expected {self.dimension}"
+                    f"shard {n} has dimension {shard.dim}, expected {dimension}"
                 )
             if shard.n_samples != shards[0].n_samples:
                 raise ValueError(
@@ -117,12 +106,9 @@ class Dataset:
                 )
         features = np.stack([shard.features for shard in shards])
         labels = np.stack([shard.labels for shard in shards])
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
         # The stack copies shards that were checked when they were built.
-        object.__setattr__(
-            self, "shards", tuple(AgentShard._view(features[n], labels[n]) for n in range(len(shards)))
-        )
+        views = tuple(AgentShard._view(features[n], labels[n]) for n in range(len(shards)))
+        self.__dict__.update(shards=views, dimension=dimension, features=features, labels=labels)
 
     def __reduce__(self):
         # Pickle the samples once; unpickling restacks them and rebuilds the views.
@@ -157,8 +143,7 @@ class _Loss:
     """One ``_LOSSES`` entry; the module docstring defines the fields.
 
     ``scale`` stays outside ``residual`` because ``(scale / L) * (X^T r)``
-    rounds unlike ``X^T (scale * r) / L``. A plain class: a dataclass adds
-    about 0.5 ms to each import of fedsim, which perfbench's setup_s measures.
+    rounds unlike ``X^T (scale * r) / L``.
     """
 
     __slots__ = ("loss", "residual", "scale", "curvature")

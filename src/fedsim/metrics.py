@@ -9,8 +9,6 @@ projection is also provided for plotting parity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .federation import RunTrace
@@ -88,7 +86,6 @@ def bound_initial_term(f0: float, f_star: float, params: SvrgParams, rounds: int
     )
 
 
-@dataclass
 class BoundCheck:
     """Both sides of the convergence bound plus the per-term breakdown.
 
@@ -97,12 +94,16 @@ class BoundCheck:
     imputed from the across-agent mean of that round.
     """
 
-    lhs: float
-    rhs: float
-    init_term: float
-    drift_term: float
-    variance_term: float
-    imputed_cells: int = 0
+    def __init__(
+        self, lhs: float, rhs: float, init_term: float, drift_term: float, variance_term: float,
+        imputed_cells: int = 0,
+    ):
+        self.lhs = lhs
+        self.rhs = rhs
+        self.init_term = init_term
+        self.drift_term = drift_term
+        self.variance_term = variance_term
+        self.imputed_cells = imputed_cells
 
 
 def _estimate_v_sq(
@@ -214,19 +215,24 @@ def theorem_bound_check(
     )
 
 
-@dataclass
 class McSummary:
     """Cross-run statistics of one algorithm's Monte Carlo batch."""
 
-    mean_cost_error: np.ndarray
-    var_cost: np.ndarray | None
-    cep_radius: float
-    cep_radius_2d: float
-    per_run_final_theta: list[np.ndarray] = field(default_factory=list)
-    avg_grad_norm_sq: float = float("nan")
-    bound_lhs: float | None = None
-    bound_rhs: float | None = None
-    bound_imputed_cells: int | None = None
+    def __init__(
+        self, mean_cost_error: np.ndarray, var_cost: np.ndarray | None, cep_radius: float,
+        cep_radius_2d: float, per_run_final_theta: list[np.ndarray] | None = None,
+        avg_grad_norm_sq: float = float("nan"), bound_lhs: float | None = None,
+        bound_rhs: float | None = None, bound_imputed_cells: int | None = None,
+    ):
+        self.mean_cost_error = mean_cost_error
+        self.var_cost = var_cost
+        self.cep_radius = cep_radius
+        self.cep_radius_2d = cep_radius_2d
+        self.per_run_final_theta = [] if per_run_final_theta is None else per_run_final_theta
+        self.avg_grad_norm_sq = avg_grad_norm_sq
+        self.bound_lhs = bound_lhs
+        self.bound_rhs = bound_rhs
+        self.bound_imputed_cells = bound_imputed_cells
 
     @property
     def final_mean_cost_error(self) -> float:

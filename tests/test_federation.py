@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import pickle
 from pathlib import Path
@@ -445,9 +444,11 @@ class TestRunPayload:
         dataset, _ = small_dataset(n_agents=5)
         sizes = []
         for steps in (2, 40):
-            cfg = dataclasses.replace(
-                TestRoundPlanning.config(algorithm, TestRoundPlanning.PROBS),
-                sgd=SgdParams(steps=steps, base_stepsize=0.05),
+            base = TestRoundPlanning.config(algorithm, TestRoundPlanning.PROBS)
+            cfg = RunConfig(
+                base.name, base.algorithm, base.rounds, base.schedule, base.theta0,
+                base.master_seed, sgd=SgdParams(steps=steps, base_stepsize=0.05),
+                batch_size=base.batch_size,
             )
             trace = run_training(LossKind.QUADRATIC, dataset, cfg, run_index=0)
             assert trace.v_sq_norms is None

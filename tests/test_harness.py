@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import fedsim.experiment
 from fedsim.config import parse_config
 from fedsim.experiment import _write_json, run_experiment
 
@@ -139,6 +141,57 @@ class TestRunExperiment:
         assert cost == result.traces["fedavg_svrg"][0].records[0].cost
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every pool run_experiment opens; the jobs run inline."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(fedsim.experiment, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+class TestWorkerPool:
+    """The pool starts at most one worker per (algorithm, run) job."""
+
+    @pytest.mark.parametrize("workers, runs, expected", [
+        (64, 3, [9]),  # three algorithms x three runs
+        (2, 3, [2]),
+        (5, 1, [3]),
+        (1, 3, []),
+    ])
+    def test_pool_is_capped_at_the_job_count(self, tmp_path, pool_sizes, workers, runs, expected):
+        cfg = parse_config(experiment_doc(runs=runs))
+        out = tmp_path / "out"
+        run_experiment(cfg, output_dir=out, workers=workers)
+        assert pool_sizes == expected
+        pooled = read_outputs(out)
+        run_experiment(cfg, output_dir=out, workers=1)
+        assert pool_sizes == expected
+        assert read_outputs(out) == pooled
+
+    def test_a_single_job_runs_serially(self, tmp_path, pool_sizes):
+        doc = experiment_doc(runs=1)
+        doc["algorithms"] = doc["algorithms"][:1]
+        run_experiment(parse_config(doc), output_dir=tmp_path / "out", workers=8)
+        assert pool_sizes == []
+        assert (tmp_path / "out" / "trace_fedavg_svrg.csv").exists()
+
+
 def reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -214,6 +267,15 @@ class TestCli:
         assert (out / "summary.json").exists()
         assert (out / "config_resolved.json").exists()
         assert (out / "trace_fedavg_svrg.csv").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_run_rejects_fewer_than_one_worker(self, tmp_path, workers):
+        out = tmp_path / "out"
+        proc = run_cli(["run", "paper_case1", "--workers", workers, "--output-dir", str(out)])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage: fedsim run")
+        assert "--workers: must be >= 1" in proc.stderr
+        assert not out.exists()
 
     def test_run_master_seed_override_changes_results(self, tmp_path):
         path = tmp_path / "tiny.json"

@@ -14,7 +14,7 @@ Schema (defaults in parentheses):
       samples_per_agent: int >= 1
       dimension: int >= 1
       noise_std: float >= 0
-      data_seed: int                      seed of the dataset stream
+      data_seed: int >= 0                 seed of the dataset stream
     runs: int >= 1                        Monte Carlo repetitions
     master_seed: int in [0, 2^64)         root of all training streams
     output_dir: str ("results/<name>")
@@ -24,7 +24,7 @@ Schema (defaults in parentheses):
       {"kind": "per_agent", "probs": [float] * n_agents}
       {"kind": "per_round", "probs": [[float] * n_agents] * >=max(rounds)}
       {"kind": "per_agent_uniform_draw", "low": float, "high": float,
-       "seed": int}                       resolved to per_agent at load
+       "seed": int >= 0}                  resolved to per_agent at load
     algorithms: nonempty list; common keys name (kind), kind, rounds >= 1
       kind "fedavg_svrg":          snapshots, inner_steps, stepsize
       kind "fedavg_prob_sgd":      local_steps (snapshots*inner_steps of the
@@ -207,7 +207,7 @@ def _parse_data(node, path: str) -> DataConfig:
         noise_std=_as_float(
             _get(node, "noise_std", path), f"{path}.noise_std", minimum=0.0
         ),
-        data_seed=_as_int(_get(node, "data_seed", path), f"{path}.data_seed"),
+        data_seed=_as_int(_get(node, "data_seed", path), f"{path}.data_seed", minimum=0),
     )
 
 
@@ -249,7 +249,7 @@ def _parse_schedule(
         high = _as_float(_get(node, "high", path), f"{path}.high", maximum=1.0)
         if low > high:
             raise ConfigError(f"{path}: low ({low}) must not exceed high ({high})")
-        seed = _as_int(_get(node, "seed", path), f"{path}.seed")
+        seed = _as_int(_get(node, "seed", path), f"{path}.seed", minimum=0)
         rng = np.random.default_rng(seed)
         return ParticipationSchedule.per_agent_fixed(rng.uniform(low, high, n_agents))
     raise ConfigError(f"{path}.kind: unknown schedule kind {kind!r}")

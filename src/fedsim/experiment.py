@@ -67,12 +67,6 @@ def _run_job(payload: tuple[Dataset, RunConfig, int]) -> RunTrace:
     return run_training(LossKind.QUADRATIC, dataset, run_cfg, run_index)
 
 
-def _schedule_probs_matrix(run_cfg: RunConfig, n_agents: int) -> np.ndarray:
-    return np.vstack([
-        run_cfg.schedule.probabilities(k, n_agents) for k in range(run_cfg.rounds)
-    ])
-
-
 def _format_float(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -97,15 +91,16 @@ def write_trace_csv(path: Path, traces: list[RunTrace], f_star: float) -> None:
 def _summary_payload(result: "ExperimentResult") -> dict:
     algorithms = {}
     for name, summary in result.summaries.items():
+        bound = result.bounds.get(name)
         algorithms[name] = {
             "final_mean_cost_error": summary.final_mean_cost_error,
             "final_variance": summary.final_variance,
             "cep_radius": summary.cep_radius,
             "cep_radius_2d": summary.cep_radius_2d,
             "avg_grad_norm_sq": summary.avg_grad_norm_sq,
-            "bound_lhs": summary.bound_lhs,
-            "bound_rhs": summary.bound_rhs,
-            "bound_imputed_cells": summary.bound_imputed_cells,
+            "bound_lhs": None if bound is None else bound.lhs,
+            "bound_rhs": None if bound is None else bound.rhs,
+            "bound_imputed_cells": None if bound is None else bound.imputed_cells,
         }
     return {
         "experiment": result.config.name,
@@ -191,22 +186,20 @@ def run_experiment(
             "algorithm %s: %d activations, %d local agent-steps across %d runs",
             alg.name, activations, activations * steps, config.runs,
         )
-        bound = None
         if svrg:
-            bound = theorem_bound_check(
+            bounds[alg.name] = theorem_bound_check(
                 alg_traces,
                 smoothness,
                 alg_traces[0].initial_cost,
                 f_star,
                 alg.svrg,
-                _schedule_probs_matrix(alg, dataset.n_agents),
+                alg.schedule.rows(alg.rounds, dataset.n_agents),
             )
-            bounds[alg.name] = bound
             logger.info(
                 "algorithm %s: stepsize * smoothness (delta*L) %.6g",
                 alg.name, alg.svrg.stepsize * smoothness,
             )
-        summaries[alg.name] = summarize_runs(alg_traces, f_star, bound)
+        summaries[alg.name] = summarize_runs(alg_traces, f_star)
         logger.info(
             "algorithm %s: final mean cost error %.6g, CEP %.6g",
             alg.name, summaries[alg.name].final_mean_cost_error, summaries[alg.name].cep_radius,

@@ -92,25 +92,25 @@ class ParticipationSchedule(Frozen):
     def per_round_matrix(cls, matrix) -> "ParticipationSchedule":
         return cls(kind=ScheduleKind.PER_ROUND, matrix=matrix)
 
-    def probabilities(self, round_index: int, n_agents: int) -> np.ndarray:
-        """Activation probability vector for one round."""
+    def rows(self, rounds: int, n_agents: int) -> np.ndarray:
+        """Activation probabilities of rounds ``0 .. rounds - 1``: a (rounds x agents) matrix.
+
+        Checks once that the schedule covers ``n_agents`` agents and, for a
+        per-round matrix, ``rounds`` rounds. The result may be a read-only
+        view of the schedule's own array.
+        """
         if self.kind is ScheduleKind.CONSTANT:
-            return np.full(n_agents, self.constant)
+            return np.full((rounds, n_agents), self.constant)
+        probs = self.per_agent if self.kind is ScheduleKind.PER_AGENT else self.matrix
+        if probs.shape[-1] != n_agents:
+            raise ValueError(f"schedule covers {probs.shape[-1]} agents, expected {n_agents}")
         if self.kind is ScheduleKind.PER_AGENT:
-            if self.per_agent.shape[0] != n_agents:
-                raise ValueError(
-                    f"schedule covers {self.per_agent.shape[0]} agents, expected {n_agents}"
-                )
-            return self.per_agent
-        if round_index >= self.matrix.shape[0]:
+            return np.broadcast_to(probs, (rounds, n_agents))
+        if rounds > probs.shape[0]:
             raise ValueError(
-                f"round {round_index} beyond schedule matrix with {self.matrix.shape[0]} rows"
+                f"{rounds} rounds exceed the schedule matrix's {probs.shape[0]} rows"
             )
-        if self.matrix.shape[1] != n_agents:
-            raise ValueError(
-                f"schedule covers {self.matrix.shape[1]} agents, expected {n_agents}"
-            )
-        return self.matrix[round_index]
+        return probs[:rounds]
 
 
 class SgdParams(Frozen):
@@ -231,6 +231,11 @@ class TrainingError(RuntimeError):
         self.agent = agent
         self.reason = reason
 
+    def __reduce__(self):
+        # A worker process pickles the error back; rebuild it from its fields.
+        return (type(self), (self.algorithm, self.run_index, self.round_index, self.agent,
+                             self.reason))
+
 
 def sample_participation(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Independent Bernoulli activation draw: agent n is active with probability ``probs[n]``."""
@@ -275,23 +280,29 @@ def _plan_rounds(cfg: RunConfig, n_agents: int, rounds, run_index: int) -> list[
     Participation never depends on the iterate, so a run can draw it for
     every round before its first. Each round's draw comes from its own
     participation stream: Bernoulli-participation algorithms draw
-    independent activations (the stream is independent of the algorithm
-    name, so paired comparisons see identical activation patterns); the
-    uniform-batch variant draws its batch without replacement. Then the
-    gradient-stream seeds of every active (run, round, agent) come from one
-    ``derive_seeds`` call. Returns one ``(indicators, divisors, seeds)``
-    per round, with one seed row per active agent in ascending order.
+    independent activations with the probabilities of one ``schedule.rows``
+    matrix (the stream is independent of the algorithm name, so paired
+    comparisons see identical activation patterns); the uniform-batch
+    variant draws its batch without replacement and never reads the
+    schedule. Then the gradient-stream seeds of every active (run, round,
+    agent) come from one ``derive_seeds`` call. Returns one
+    ``(indicators, divisors, seeds)`` per round, with one seed row per
+    active agent in ascending order.
     """
+    uniform = cfg.algorithm is Algorithm.FEDAVG_UNIFORM_BATCH
+    if not uniform:
+        # One matrix covering round 0 to the last round planned.
+        probs_rows = cfg.schedule.rows(max(rounds, default=-1) + 1, n_agents)
     draws = []
     for k in rounds:
         part_rng = derive_rng(cfg.master_seed, PARTICIPATION_LABEL, run_index, k)
-        if cfg.algorithm is Algorithm.FEDAVG_UNIFORM_BATCH:
+        if uniform:
             chosen = part_rng.choice(n_agents, size=cfg.batch_size, replace=False)
             indicators = np.zeros(n_agents, dtype=bool)
             indicators[chosen] = True
             divisors = np.full(cfg.batch_size, cfg.batch_size)
         else:
-            probs = cfg.schedule.probabilities(k, n_agents)
+            probs = probs_rows[k]
             indicators = sample_participation(probs, part_rng)
             divisors = probs[indicators] * n_agents
         draws.append((k, indicators, divisors))

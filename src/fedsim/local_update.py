@@ -59,6 +59,9 @@ class DivergenceError(RuntimeError):
         self.snapshot = snapshot
         self.step = step
 
+    def __reduce__(self):
+        return (type(self), (self.snapshot, self.step))
+
 
 def variance_reduced_grad(
     kind: LossKind,

@@ -65,13 +65,6 @@ class AgentShard(Frozen):
             raise ValueError("shard entries must be finite")
         self.__dict__.update(features=features, labels=labels)
 
-    @classmethod
-    def _view(cls, features: np.ndarray, labels: np.ndarray) -> "AgentShard":
-        """A shard over arrays that were already checked, built without checking them again."""
-        shard = object.__new__(cls)
-        shard.__dict__.update(features=features, labels=labels)
-        return shard
-
     @property
     def n_samples(self) -> int:
         return self.features.shape[0]
@@ -82,41 +75,45 @@ class AgentShard(Frozen):
 
 
 class Dataset(Frozen):
-    """Ordered collection of agent shards sharing one feature dimension.
+    """Agent-partitioned samples, stored once and stacked over agents.
 
-    The samples are stored once, stacked over agents: ``features`` is
-    (n_agents, n_samples, dim) and ``labels`` is (n_agents, n_samples).
-    Every shard in ``shards`` is a view into the stack, so all shards must
-    hold the same number of samples.
+    features : (n_agents, n_samples, dim) array, one shard per leading index
+    labels   : (n_agents, n_samples) array of targets
+
+    Both are kept as C-contiguous float64 arrays, without a copy when they
+    already are. Every shard in ``shards`` is a view into the stack, checked
+    by ``AgentShard``'s own checks, so every agent holds the same number of
+    samples and the same dimension.
     """
 
-    def __init__(self, shards: tuple[AgentShard, ...], dimension: int):
-        shards = tuple(shards)
-        if len(shards) < 1:
-            raise ValueError("dataset must contain at least one shard")
-        for n, shard in enumerate(shards):
-            if shard.dim != dimension:
-                raise ValueError(
-                    f"shard {n} has dimension {shard.dim}, expected {dimension}"
-                )
-            if shard.n_samples != shards[0].n_samples:
-                raise ValueError(
-                    f"shard {n} has {shard.n_samples} samples, expected "
-                    f"{shards[0].n_samples} like shard 0"
-                )
-        features = np.stack([shard.features for shard in shards])
-        labels = np.stack([shard.labels for shard in shards])
-        # The stack copies shards that were checked when they were built.
-        views = tuple(AgentShard._view(features[n], labels[n]) for n in range(len(shards)))
-        self.__dict__.update(shards=views, dimension=dimension, features=features, labels=labels)
+    def __init__(self, features: np.ndarray, labels: np.ndarray):
+        features = np.ascontiguousarray(features, dtype=float)
+        labels = np.ascontiguousarray(labels, dtype=float)
+        if features.ndim != 3:
+            raise ValueError(
+                f"features must be a 3-D (agents, samples, dim) array, got {features.ndim}-D"
+            )
+        if labels.shape != features.shape[:2]:
+            raise ValueError(
+                f"labels have shape {labels.shape}, expected (agents, samples) "
+                f"{features.shape[:2]}"
+            )
+        if features.shape[0] < 1:
+            raise ValueError("dataset must contain at least one agent")
+        shards = tuple(AgentShard(f, y) for f, y in zip(features, labels))
+        self.__dict__.update(shards=shards, features=features, labels=labels)
 
     def __reduce__(self):
-        # Pickle the samples once; unpickling restacks them and rebuilds the views.
-        return (Dataset, (self.shards, self.dimension))
+        # Pickle the samples once; unpickling rebuilds the shard views.
+        return (Dataset, (self.features, self.labels))
 
     @property
     def n_agents(self) -> int:
-        return len(self.shards)
+        return self.features.shape[0]
+
+    @property
+    def dimension(self) -> int:
+        return self.features.shape[2]
 
 
 def _check_theta(dim: int, theta: np.ndarray) -> None:
@@ -251,12 +248,11 @@ def generate_regression_dataset(
     features = rng.standard_normal((total, dimension))
     theta_true = rng.standard_normal(dimension)
     labels = features @ theta_true + noise_std * rng.standard_normal(total)
-    shards = []
-    for n in range(n_agents):
-        lo = n * samples_per_agent
-        hi = lo + samples_per_agent
-        shards.append(AgentShard(features[lo:hi], labels[lo:hi]))
-    return Dataset(tuple(shards), dimension), theta_true
+    dataset = Dataset(
+        features.reshape(n_agents, samples_per_agent, dimension),
+        labels.reshape(n_agents, samples_per_agent),
+    )
+    return dataset, theta_true
 
 
 def least_squares_oracle(dataset: Dataset) -> tuple[np.ndarray, float]:

@@ -220,19 +220,13 @@ class McSummary:
 
     def __init__(
         self, mean_cost_error: np.ndarray, var_cost: np.ndarray | None, cep_radius: float,
-        cep_radius_2d: float, per_run_final_theta: list[np.ndarray] | None = None,
-        avg_grad_norm_sq: float = float("nan"), bound_lhs: float | None = None,
-        bound_rhs: float | None = None, bound_imputed_cells: int | None = None,
+        cep_radius_2d: float, avg_grad_norm_sq: float = float("nan"),
     ):
         self.mean_cost_error = mean_cost_error
         self.var_cost = var_cost
         self.cep_radius = cep_radius
         self.cep_radius_2d = cep_radius_2d
-        self.per_run_final_theta = [] if per_run_final_theta is None else per_run_final_theta
         self.avg_grad_norm_sq = avg_grad_norm_sq
-        self.bound_lhs = bound_lhs
-        self.bound_rhs = bound_rhs
-        self.bound_imputed_cells = bound_imputed_cells
 
     @property
     def final_mean_cost_error(self) -> float:
@@ -243,11 +237,7 @@ class McSummary:
         return None if self.var_cost is None else float(self.var_cost[-1])
 
 
-def summarize_runs(
-    traces: list[RunTrace],
-    f_star: float,
-    bound: BoundCheck | None = None,
-) -> McSummary:
+def summarize_runs(traces: list[RunTrace], f_star: float) -> McSummary:
     """Fold one algorithm's Monte Carlo traces into a summary record."""
     errors = cost_error_trace(traces, f_star)
     finals = [trace.final_theta for trace in traces]
@@ -256,9 +246,5 @@ def summarize_runs(
         var_cost=mc_variance_trace(errors) if len(traces) >= 2 else None,
         cep_radius=cep_radius(finals),
         cep_radius_2d=cep_radius_2d(finals),
-        per_run_final_theta=finals,
         avg_grad_norm_sq=mean_sq_grad_norm(traces),
-        bound_lhs=None if bound is None else bound.lhs,
-        bound_rhs=None if bound is None else bound.rhs,
-        bound_imputed_cells=None if bound is None else bound.imputed_cells,
     )

@@ -13,11 +13,19 @@ def random_shard(rng, n_samples=6, dim=4, pm_one_labels=False):
     return AgentShard(features, labels)
 
 
+def stacked_dataset(shards):
+    """A Dataset holding the given equal-size shards, stacked in agent order."""
+    shards = tuple(shards)
+    return Dataset(
+        np.stack([shard.features for shard in shards]),
+        np.stack([shard.labels for shard in shards]),
+    )
+
+
 def random_dataset(rng, n_agents=3, n_samples=4, dim=3, pm_one_labels=False):
-    shards = tuple(
+    return stacked_dataset(
         random_shard(rng, n_samples, dim, pm_one_labels) for _ in range(n_agents)
     )
-    return Dataset(shards, dim)
 
 
 @pytest.fixture

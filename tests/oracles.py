@@ -21,8 +21,37 @@ from fedsim.local_update import (
     svrg_local_update,
     variance_reduced_grad,
 )
-from fedsim.losses import LossKind, agent_full_grad, component_grad, component_loss
+from fedsim.losses import (
+    AgentShard,
+    Dataset,
+    LossKind,
+    agent_full_grad,
+    component_grad,
+    component_loss,
+)
 from fedsim.seeding import derive_rng
+
+
+def sliced_regression_dataset(n_agents, samples_per_agent, dimension, noise_std, rng):
+    """The synthetic regression draw cut into one shard per agent, then stacked.
+
+    The same draws as ``generate_regression_dataset``: features, the
+    generating parameter, then the label noise.
+    """
+    total = n_agents * samples_per_agent
+    features = rng.standard_normal((total, dimension))
+    theta_true = rng.standard_normal(dimension)
+    labels = features @ theta_true + noise_std * rng.standard_normal(total)
+    shards = []
+    for n in range(n_agents):
+        lo = n * samples_per_agent
+        hi = lo + samples_per_agent
+        shards.append(AgentShard(features[lo:hi], labels[lo:hi]))
+    stacked = Dataset(
+        np.stack([shard.features for shard in shards]),
+        np.stack([shard.labels for shard in shards]),
+    )
+    return stacked, theta_true
 
 
 def central_diff_grad(kind, shard, i, theta, step=1e-6):
@@ -187,7 +216,7 @@ def interleaved_run_training(kind, dataset, cfg, run_index=0):
             indicators[chosen] = True
             divisors = np.full(cfg.batch_size, cfg.batch_size)
         else:
-            probs = cfg.schedule.probabilities(k, n_agents)
+            probs = cfg.schedule.rows(k + 1, n_agents)[k]
             indicators = sample_participation(probs, part_rng)
             divisors = probs[indicators] * n_agents
         traces = {}

@@ -149,6 +149,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match="master_seed"):
             parse_config(minimal_doc(master_seed=2**64))
 
+    @pytest.mark.parametrize("path", ["config.data.data_seed", "config.schedule.seed"])
+    def test_seeds_must_be_nonnegative(self, path):
+        # numpy seeds its generators from non-negative integers only.
+        doc = minimal_doc(schedule={"kind": "per_agent_uniform_draw", "low": 0.5,
+                                    "high": 1.0, "seed": 3})
+        section, key = path.split(".")[1:]
+        doc[section][key] = -1
+        with pytest.raises(ConfigError, match=f"^{path}: must be >= 0, got -1$"):
+            parse_config(doc)
+        doc[section][key] = 0
+        parse_config(doc)
+
     def test_runs_and_rounds_minimums(self):
         with pytest.raises(ConfigError, match="runs"):
             parse_config(minimal_doc(runs=0))

@@ -21,13 +21,13 @@ from fedsim.federation import (
 from fedsim.local_update import SvrgParams, svrg_local_update
 from fedsim.losses import (
     AgentShard,
-    Dataset,
     LossKind,
     generate_regression_dataset,
     global_cost,
     global_grad,
     smoothness_constant,
 )
+from conftest import stacked_dataset
 from oracles import enumerate_aggregate_mean, interleaved_run_training
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_trace.json"
@@ -56,13 +56,13 @@ class TestParticipationSchedule:
         schedule = ParticipationSchedule.constant_uniform(1.0)
         rng = np.random.default_rng(0)
         for k in range(5):
-            assert sample_participation(schedule.probabilities(k, 7), rng).all()
+            assert sample_participation(schedule.rows(k + 1, 7)[k], rng).all()
 
     def test_empirical_frequency_near_probability(self):
         schedule = ParticipationSchedule.constant_uniform(0.5)
         rng = np.random.default_rng(314)
         draws = np.array([
-            sample_participation(schedule.probabilities(0, 2), rng) for _ in range(10_000)
+            sample_participation(schedule.rows(1, 2)[0], rng) for _ in range(10_000)
         ])
         freq = draws.mean(axis=0)
         assert np.all(np.abs(freq - 0.5) < 0.02)
@@ -86,16 +86,34 @@ class TestParticipationSchedule:
     def test_matrix_bounds_checked(self):
         schedule = ParticipationSchedule.per_round_matrix(np.full((2, 3), 0.5))
         rng = np.random.default_rng(0)
-        sample_participation(schedule.probabilities(1, 3), rng)
+        sample_participation(schedule.rows(2, 3)[1], rng)
         with pytest.raises(ValueError):
-            sample_participation(schedule.probabilities(2, 3), rng)
+            sample_participation(schedule.rows(3, 3)[2], rng)
         with pytest.raises(ValueError):
-            sample_participation(schedule.probabilities(0, 4), rng)
+            sample_participation(schedule.rows(1, 4)[0], rng)
 
     def test_per_agent_length_checked(self):
         schedule = ParticipationSchedule.per_agent_fixed(np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
-            schedule.probabilities(0, 3)
+            schedule.rows(1, 3)[0]
+
+    @pytest.mark.parametrize("schedule", [
+        ParticipationSchedule.constant_uniform(0.25),
+        ParticipationSchedule.per_agent_fixed(np.array([0.5, 0.75, 1.0])),
+        ParticipationSchedule.per_round_matrix(np.linspace(0.1, 0.9, 15).reshape(5, 3)),
+    ], ids=["constant", "per_agent", "per_round"])
+    def test_rows_hold_every_round_in_order(self, schedule):
+        rows = schedule.rows(4, 3)
+        assert rows.shape == (4, 3)
+        for k, row in enumerate(rows):
+            if schedule.kind is ScheduleKind.CONSTANT:
+                expected = np.full(3, schedule.constant)
+            elif schedule.kind is ScheduleKind.PER_AGENT:
+                expected = schedule.per_agent
+            else:
+                expected = schedule.matrix[k]
+            assert row.tobytes() == expected.tobytes()
+        assert schedule.rows(0, 3).shape == (0, 3)
 
 
 class TestAggregate:
@@ -412,7 +430,7 @@ class TestRoundPlanning:
             AgentShard(shard.features * (1e60 if n == 3 else 1.0), shard.labels)
             for n, shard in enumerate(base.shards)
         )
-        dataset = Dataset(shards, base.dimension)
+        dataset = stacked_dataset(shards)
         cfg = self.config(algorithm, self.PROBS, rounds=12, master_seed=5)
         with pytest.raises(TrainingError) as expected:
             interleaved_run_training(LossKind.QUADRATIC, dataset, cfg, run_index=2)

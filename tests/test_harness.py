@@ -244,6 +244,22 @@ class TestCli:
         assert "schedule.p" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("section, key", [("data", "data_seed"), ("schedule", "seed")])
+    def test_negative_seed_exits_2(self, tmp_path, command, section, key):
+        doc = experiment_doc(schedule={"kind": "per_agent_uniform_draw", "low": 0.5,
+                                       "high": 1.0, "seed": 3})
+        doc[section][key] = -5
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        args = ["--output-dir", str(out)] if command == "run" else []
+        proc = run_cli([command, str(path), *args])
+        assert proc.returncode == 2
+        assert proc.stderr == f"config error: config.{section}.{key}: must be >= 0, got -5\n"
+        assert proc.stdout == ""
+        assert not out.exists()
+
     def test_missing_config_exits_2(self):
         proc = run_cli(["validate", "/nonexistent/path.json"])
         assert proc.returncode == 2
@@ -306,6 +322,24 @@ class TestCli:
         assert report["error"] == "training_failure"
         assert report["algorithm"] == "fedavg_svrg"
         assert {"run", "round", "agent", "reason"} <= set(report)
+
+    def test_training_failure_report_is_the_same_at_any_worker_count(self, tmp_path):
+        # A worker process sends the error back by pickle; the report, and
+        # the run it names, must not depend on where the run failed.
+        doc = experiment_doc()
+        doc["algorithms"][0]["stepsize"] = 1e200
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps(doc))
+        procs = [
+            run_cli(["run", str(path), "--workers", workers,
+                     "--output-dir", str(tmp_path / f"out{workers}")])
+            for workers in ("1", "2")
+        ]
+        assert [proc.returncode for proc in procs] == [1, 1]
+        assert procs[0].stderr == procs[1].stderr
+        report = json.loads(procs[0].stderr)
+        assert report["error"] == "training_failure"
+        assert (report["algorithm"], report["run"]) == ("fedavg_svrg", 0)
 
     def test_log_env_var_controls_stderr(self, tmp_path):
         path = tmp_path / "tiny.json"

@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import random_dataset, random_shard
+from conftest import random_dataset, random_shard, stacked_dataset
 from fedsim.losses import (
     AgentShard,
     Dataset,
@@ -28,6 +28,7 @@ from oracles import (
     loop_global_grad,
     loop_gram_moment,
     loop_smoothness,
+    sliced_regression_dataset,
 )
 
 KINDS = [LossKind.QUADRATIC, LossKind.LOGISTIC]
@@ -51,27 +52,47 @@ class TestShardValidation:
         with pytest.raises(ValueError):
             AgentShard(np.array([[1.0, np.inf]]), np.array([0.0]))
 
-    def test_dataset_rejects_mixed_dimensions(self):
-        a = single_sample_shard([1.0, 0.0], 1.0)
-        b = single_sample_shard([1.0, 0.0, 0.0], 1.0)
-        with pytest.raises(ValueError):
-            Dataset((a, b), 2)
-
     def test_dataset_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Dataset((), 2)
+        with pytest.raises(ValueError, match="at least one agent"):
+            Dataset(np.ones((0, 2, 2)), np.ones((0, 2)))
 
 
 class TestDatasetStack:
-    def test_rejects_unequal_sample_counts(self, rng):
-        with pytest.raises(ValueError, match="samples"):
-            Dataset((random_shard(rng, 4, 3), random_shard(rng, 5, 3)), 3)
+    @pytest.mark.parametrize("shape", [(4, 3), (2, 4, 3, 1), ()])
+    def test_rejects_features_that_are_not_3d(self, shape):
+        features = np.ones(shape)
+        with pytest.raises(ValueError, match="3-D"):
+            Dataset(features, np.ones(shape[:2]))
 
-    def test_rejects_one_short_shard_among_many(self, rng):
-        shards = [random_shard(rng, 6, 2) for _ in range(4)]
-        shards[2] = random_shard(rng, 1, 2)
-        with pytest.raises(ValueError, match="shard 2"):
-            Dataset(tuple(shards), 2)
+    @pytest.mark.parametrize("shape", [(2,), (2, 5), (3, 4), (2, 4, 1)])
+    def test_rejects_labels_that_are_not_agents_by_samples(self, shape):
+        with pytest.raises(ValueError, match="labels"):
+            Dataset(np.ones((2, 4, 3)), np.ones(shape))
+
+    def test_rejects_zero_samples(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            Dataset(np.ones((3, 0, 2)), np.ones((3, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["features", "labels"])
+    def test_rejects_a_nonfinite_entry_in_the_last_agent(self, bad, field, rng):
+        features = rng.standard_normal((5, 4, 3))
+        labels = rng.standard_normal((5, 4))
+        if field == "features":
+            features[-1, -1, -1] = bad
+        else:
+            labels[-1, -1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(features, labels)
+
+    def test_stores_c_contiguous_float64_with_dimension_from_shape(self):
+        features = np.asfortranarray(np.arange(24).reshape(2, 4, 3))
+        dataset = Dataset(features, np.zeros((2, 4), dtype=np.int32))
+        for array in (dataset.features, dataset.labels):
+            assert array.dtype == np.float64 and array.flags.c_contiguous
+        assert np.array_equal(dataset.features, features)
+        assert (dataset.n_agents, dataset.dimension) == (2, 3)
+        assert all(shard.n_samples == 4 and shard.dim == 3 for shard in dataset.shards)
 
     def test_shards_are_views_into_the_stack(self, rng):
         built = random_dataset(rng, n_agents=3, n_samples=4, dim=2)
@@ -84,11 +105,6 @@ class TestDatasetStack:
                 assert np.shares_memory(shard.labels, dataset.labels)
                 assert np.array_equal(shard.features, dataset.features[n])
                 assert np.array_equal(shard.labels, dataset.labels[n])
-
-    def test_stack_is_a_copy_of_the_input_shards(self, rng):
-        shard = random_shard(rng, 4, 2)
-        dataset = Dataset((shard,), 2)
-        assert not np.shares_memory(shard.features, dataset.features)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_global_evaluations_reject_misshaped_theta(self, kind, rng):
@@ -112,6 +128,13 @@ class TestDatasetStack:
             assert global_cost(kind, restored, theta) == global_cost(kind, dataset, theta)
             assert (global_grad(kind, restored, theta).tobytes()
                     == global_grad(kind, dataset, theta).tobytes())
+
+    def test_pickle_holds_the_samples_once(self, rng):
+        # The shards are views into the stack; pickling them as well would
+        # hold every sample twice.
+        dataset = random_dataset(rng, n_agents=20, n_samples=30, dim=5)
+        samples = dataset.features.nbytes + dataset.labels.nbytes
+        assert len(pickle.dumps(dataset)) < 1.5 * samples
 
 
 class TestBatchedMatchesLoops:
@@ -224,7 +247,7 @@ class TestAgentFullGrad:
 class TestGlobalObjective:
     def test_single_agent_degenerates(self, rng):
         shard = random_shard(rng, n_samples=6, dim=3)
-        dataset = Dataset((shard,), 3)
+        dataset = stacked_dataset((shard,))
         theta = rng.standard_normal(3)
         assert global_cost(LossKind.QUADRATIC, dataset, theta) == pytest.approx(
             float(np.mean((shard.labels - shard.features @ theta) ** 2)), rel=1e-14
@@ -275,6 +298,16 @@ class TestGenerator:
             assert np.array_equal(sa.features, sb.features)
             assert np.array_equal(sa.labels, sb.labels)
 
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (4, 5, 3), (10, 50, 10), (200, 50, 10)])
+    def test_matches_per_shard_stacking(self, shape):
+        dataset, theta_true = generate_regression_dataset(*shape, 1.0, np.random.default_rng(3))
+        expected, expected_theta = sliced_regression_dataset(
+            *shape, 1.0, np.random.default_rng(3)
+        )
+        assert theta_true.tobytes() == expected_theta.tobytes()
+        assert dataset.features.tobytes() == expected.features.tobytes()
+        assert dataset.labels.tobytes() == expected.labels.tobytes()
+
     def test_rejects_bad_arguments(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
@@ -292,7 +325,7 @@ class TestLeastSquaresOracle:
 
     def test_one_dimensional_mean(self):
         shard = AgentShard(np.array([[1.0], [1.0]]), np.array([0.0, 2.0]))
-        theta_star, f_star = least_squares_oracle(Dataset((shard,), 1))
+        theta_star, f_star = least_squares_oracle(stacked_dataset((shard,)))
         assert theta_star == pytest.approx(np.array([1.0]), abs=1e-12)
         assert f_star == pytest.approx(1.0, abs=1e-12)
 
@@ -306,7 +339,7 @@ class TestLeastSquaresOracle:
     def test_singular_system_raises(self):
         shard = AgentShard(np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1.0, 2.0]))
         with pytest.raises(SingularSystemError):
-            least_squares_oracle(Dataset((shard,), 2))
+            least_squares_oracle(stacked_dataset((shard,)))
 
     def test_benchmark_optimum_tracks_noise_level(self):
         # For pooled least squares on standard-normal data the optimal
@@ -321,11 +354,11 @@ class TestLeastSquaresOracle:
 
 class TestSmoothnessConstant:
     def test_quadratic_single_row(self):
-        dataset = Dataset((single_sample_shard([1.0, 0.0], 3.0),), 2)
+        dataset = stacked_dataset((single_sample_shard([1.0, 0.0], 3.0),))
         assert smoothness_constant(LossKind.QUADRATIC, dataset) == 2.0
 
     def test_logistic_single_row(self):
-        dataset = Dataset((single_sample_shard([2.0], 1.0),), 1)
+        dataset = stacked_dataset((single_sample_shard([2.0], 1.0),))
         assert smoothness_constant(LossKind.LOGISTIC, dataset) == 1.0
 
     @pytest.mark.parametrize("kind", [LossKind.QUADRATIC, LossKind.LOGISTIC])

@@ -127,7 +127,7 @@ def tiny_experiment(rounds=5, runs=3, snapshots=2, inner_steps=3, stepsize=0.05,
     traces = [
         run_training(LossKind.QUADRATIC, dataset, cfg, run_index=r) for r in range(runs)
     ]
-    probs_matrix = np.vstack([schedule.probabilities(k, len(probs)) for k in range(rounds)])
+    probs_matrix = np.vstack([schedule.rows(k + 1, len(probs))[k] for k in range(rounds)])
     return dataset, cfg, traces, probs_matrix
 
 
@@ -352,7 +352,6 @@ class TestSummarize:
         assert summary.final_mean_cost_error == pytest.approx(
             float(errors.mean(axis=0)[-1]), rel=1e-14
         )
-        assert summary.bound_lhs is None
 
     def test_single_run_has_no_variance(self):
         _, _, traces, _ = tiny_experiment(runs=1)

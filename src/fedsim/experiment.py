@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig
-from .federation import Algorithm, RunConfig, RunTrace, run_training
+from .federation import Algorithm, RunTrace, run_training
 from .losses import (
     Dataset,
     LossKind,
@@ -60,11 +60,6 @@ def build_dataset(config: ExperimentConfig) -> tuple[Dataset, np.ndarray]:
     return generate_regression_dataset(
         data.n_agents, data.samples_per_agent, data.dimension, data.noise_std, rng
     )
-
-
-def _run_job(payload: tuple[Dataset, RunConfig, int]) -> RunTrace:
-    dataset, run_cfg, run_index = payload
-    return run_training(LossKind.QUADRATIC, dataset, run_cfg, run_index)
 
 
 def _format_float(x: float) -> str:
@@ -163,15 +158,24 @@ def run_experiment(
     workers = min(workers, len(jobs))
     if workers <= 1:
         for alg, run_index in jobs:
-            results[(alg.name, run_index)] = _run_job((dataset, alg, run_index))
+            results[(alg.name, run_index)] = run_training(
+                LossKind.QUADRATIC, dataset, alg, run_index
+            )
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
-                pool.submit(_run_job, (dataset, alg, run_index)): (alg.name, run_index)
+                (alg.name, run_index): pool.submit(
+                    run_training, LossKind.QUADRATIC, dataset, alg, run_index
+                )
                 for alg, run_index in jobs
             }
-            for future, key in futures.items():
-                results[key] = future.result()
+            try:
+                for key, future in futures.items():
+                    results[key] = future.result()
+            except BaseException:
+                # Report the first failure in job order now, not after the jobs still queued.
+                pool.shutdown(cancel_futures=True)
+                raise
 
     traces: dict[str, list[RunTrace]] = {}
     summaries: dict[str, McSummary] = {}

@@ -180,10 +180,6 @@ class RunTrace:
         self.v_sq_norms = v_sq_norms
 
     @property
-    def n_rounds(self) -> int:
-        return len(self.records)
-
-    @property
     def costs(self) -> np.ndarray:
         """Recorded post-round costs, one per round."""
         return np.array([rec.cost for rec in self.records])

@@ -10,6 +10,7 @@ import pytest
 import fedsim.experiment
 from fedsim.config import parse_config
 from fedsim.experiment import _write_json, run_experiment
+from fedsim.federation import TrainingError
 
 
 def experiment_doc(**overrides):
@@ -143,10 +144,16 @@ class TestRunExperiment:
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """The max_workers of every pool run_experiment opens; the jobs run inline."""
+    """The max_workers of every pool run_experiment opens; the jobs run inline.
+
+    The stand-in pool also records the ``cancel_futures`` of every explicit
+    ``shutdown`` call in its class attribute ``shutdowns``.
+    """
     sizes = []
 
     class InlinePool:
+        shutdowns = []
+
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -157,9 +164,16 @@ def pool_sizes(monkeypatch):
             return False
 
         def submit(self, fn, *args):
+            # As in a real pool, a job's error is raised by its future's result().
             future = concurrent.futures.Future()
-            future.set_result(fn(*args))
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
             return future
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            self.shutdowns.append(cancel_futures)
 
     monkeypatch.setattr(fedsim.experiment, "ProcessPoolExecutor", InlinePool)
     return sizes
@@ -183,6 +197,18 @@ class TestWorkerPool:
         run_experiment(cfg, output_dir=out, workers=1)
         assert pool_sizes == expected
         assert read_outputs(out) == pooled
+
+    def test_a_failing_job_cancels_the_queued_ones(self, tmp_path, pool_sizes):
+        shutdowns = fedsim.experiment.ProcessPoolExecutor.shutdowns
+        run_experiment(parse_config(experiment_doc()), output_dir=tmp_path / "ok", workers=2)
+        assert shutdowns == []
+        doc = experiment_doc()
+        doc["algorithms"][0]["stepsize"] = 1e200
+        with pytest.raises(TrainingError) as err:
+            run_experiment(parse_config(doc), output_dir=tmp_path / "out", workers=2)
+        # The error is still that of the first failing job in (algorithm, run) order.
+        assert (err.value.algorithm, err.value.run_index) == ("fedavg_svrg", 0)
+        assert shutdowns == [True]
 
     def test_a_single_job_runs_serially(self, tmp_path, pool_sizes):
         doc = experiment_doc(runs=1)

@@ -54,7 +54,9 @@ def _positive_int(text: str) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = _load(args.config).with_overrides(master_seed=args.master_seed)
+    config = _load(args.config)
+    if args.master_seed is not None:
+        config = config.with_overrides(master_seed=args.master_seed)
     result = run_experiment(config, output_dir=args.output_dir, workers=args.workers)
     logger.info("experiment %s complete: %s", config.name, result.output_dir)
     return 0

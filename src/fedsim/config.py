@@ -94,11 +94,7 @@ class ExperimentConfig(Frozen):
 
 
 def _build_schedule(node: dict) -> ParticipationSchedule:
-    if node["kind"] == "constant":
-        return ParticipationSchedule.constant_uniform(node["p"])
-    if node["kind"] == "per_agent":
-        return ParticipationSchedule.per_agent_fixed(np.array(node["probs"]))
-    return ParticipationSchedule.per_round_matrix(np.array(node["probs"]))
+    return ParticipationSchedule(node["p"] if node["kind"] == "constant" else node["probs"])
 
 
 def _build_run(
@@ -142,7 +138,10 @@ def _as_int(value, path: str, minimum=None, maximum=None) -> int:
 def _as_float(value, path: str, minimum=None, maximum=None, strict_min=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{path}: must be finite") from None
     if not math.isfinite(value):
         raise ConfigError(f"{path}: must be finite")
     if minimum is not None:

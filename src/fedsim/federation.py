@@ -42,75 +42,45 @@ class Algorithm(enum.Enum):
     FEDAVG_UNIFORM_BATCH = "fedavg_uniform_batch"
 
 
-class ScheduleKind(enum.Enum):
-    CONSTANT = "constant"
-    PER_AGENT = "per_agent"
-    PER_ROUND = "per_round"
-
-
-def _check_probs(probs, what: str, ndim: int) -> np.ndarray:
-    probs = np.asarray(probs, dtype=float)
-    if probs.ndim != ndim:
-        raise ValueError(f"{what} must be a {ndim}-D array, got {probs.ndim}-D")
-    if probs.size == 0:
-        raise ValueError(f"{what} must be nonempty")
-    if not np.isfinite(probs).all() or (probs <= 0.0).any() or (probs > 1.0).any():
-        raise ValueError(f"{what} must lie in (0, 1]")
-    return probs
-
-
 class ParticipationSchedule(Frozen):
-    """Per-agent, per-round activation probabilities.
+    """Activation probabilities: one array that broadcasts to (rounds x agents).
 
-    Three layouts: one probability shared by everyone, one fixed
-    probability per agent, or a full (rounds x agents) matrix. The field
-    the kind selects is checked at construction: every probability must
-    lie in (0, 1] and the array must have the layout's dimension.
+    Its dimension is its layout: a 0-D array holds one probability for every
+    agent and round, a 1-D array one probability per agent, and a 2-D array
+    one row of agents per round. It is checked once, here: it must be
+    nonempty, at most 2-D, and every entry must lie in (0, 1].
     """
 
-    def __init__(
-        self, kind: ScheduleKind, constant: float | None = None,
-        per_agent: np.ndarray | None = None, matrix: np.ndarray | None = None,
-    ):
-        if kind is ScheduleKind.CONSTANT:
-            constant = float(_check_probs(constant, "participation probability", ndim=0))
-        elif kind is ScheduleKind.PER_AGENT:
-            per_agent = _check_probs(per_agent, "per-agent probabilities", ndim=1)
-        else:
-            matrix = _check_probs(matrix, "probability matrix (rounds x agents)", ndim=2)
-        self.__dict__.update(kind=kind, constant=constant, per_agent=per_agent, matrix=matrix)
+    def __init__(self, probs):
+        probs = np.asarray(probs, dtype=float)
+        if probs.ndim > 2:
+            raise ValueError(f"participation probabilities must be 0-D to 2-D, got {probs.ndim}-D")
+        if probs.size == 0:
+            raise ValueError("participation probabilities must be nonempty")
+        if not np.isfinite(probs).all() or (probs <= 0.0).any() or (probs > 1.0).any():
+            raise ValueError("participation probabilities must lie in (0, 1]")
+        self.__dict__.update(probs=probs)
 
-    @classmethod
-    def constant_uniform(cls, p: float) -> "ParticipationSchedule":
-        return cls(kind=ScheduleKind.CONSTANT, constant=p)
-
-    @classmethod
-    def per_agent_fixed(cls, probs) -> "ParticipationSchedule":
-        return cls(kind=ScheduleKind.PER_AGENT, per_agent=probs)
-
-    @classmethod
-    def per_round_matrix(cls, matrix) -> "ParticipationSchedule":
-        return cls(kind=ScheduleKind.PER_ROUND, matrix=matrix)
+    @property
+    def per_agent(self) -> np.ndarray | None:
+        """The per-agent probabilities of a 1-D schedule, else ``None``."""
+        return self.probs if self.probs.ndim == 1 else None
 
     def rows(self, rounds: int, n_agents: int) -> np.ndarray:
         """Activation probabilities of rounds ``0 .. rounds - 1``: a (rounds x agents) matrix.
 
         Checks once that the schedule covers ``n_agents`` agents and, for a
-        per-round matrix, ``rounds`` rounds. The result may be a read-only
-        view of the schedule's own array.
+        2-D schedule, ``rounds`` rounds. The result is a read-only view of
+        the schedule's own array.
         """
-        if self.kind is ScheduleKind.CONSTANT:
-            return np.full((rounds, n_agents), self.constant)
-        probs = self.per_agent if self.kind is ScheduleKind.PER_AGENT else self.matrix
-        if probs.shape[-1] != n_agents:
+        probs = self.probs
+        if probs.ndim and probs.shape[-1] != n_agents:
             raise ValueError(f"schedule covers {probs.shape[-1]} agents, expected {n_agents}")
-        if self.kind is ScheduleKind.PER_AGENT:
-            return np.broadcast_to(probs, (rounds, n_agents))
-        if rounds > probs.shape[0]:
-            raise ValueError(
-                f"{rounds} rounds exceed the schedule matrix's {probs.shape[0]} rows"
-            )
-        return probs[:rounds]
+        if probs.ndim == 2:
+            if rounds > probs.shape[0]:
+                raise ValueError(f"{rounds} rounds exceed the schedule's {probs.shape[0]} rows")
+            probs = probs[:rounds]
+        return np.broadcast_to(probs, (rounds, n_agents))
 
 
 class SgdParams(Frozen):

@@ -5,10 +5,12 @@ experiments (cases 1 and 2) execute once per session and are shared by the
 criteria that consume them.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from fedsim.metrics import bound_initial_term
 from oracles import central_diff_grad, enumerate_aggregate_mean
 
 LAST_ROUNDS = 20
+DIGESTS = Path(__file__).parent / "data" / "output_digests.json"
 
 
 def report(number: int, passed: bool, detail: str) -> None:
@@ -220,6 +223,20 @@ def test_criterion_9_byte_identical_reruns(tmp_path):
         identical_reruns and identical_parallel,
         f"rerun identical: {identical_reruns}; workers 1 vs 8 identical: "
         f"{identical_parallel} ({len(outputs['a'])} CSV files compared)",
+    )
+
+
+@pytest.mark.parametrize("case", ["case1", "case2"])
+def test_outputs_match_pinned_digests(case, request):
+    # Pins the bytes of summary.json and every trace CSV of both paper
+    # configs, taken from the session runs above at --workers 4.
+    result, _ = request.getfixturevalue(case)
+    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    paths = [result.output_dir / "summary.json", *sorted(result.output_dir.glob("trace_*.csv"))]
+    actual = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+    assert actual == pinned["sha256"][result.config.name], (
+        f"{result.config.name}: outputs differ from the digests pinned with numpy "
+        f"{pinned['numpy']} and {pinned['blas']}; this is numpy {np.__version__}"
     )
 
 

@@ -10,7 +10,6 @@ from fedsim.federation import (
     Algorithm,
     ParticipationSchedule,
     RunConfig,
-    ScheduleKind,
     SgdParams,
     TrainingError,
     aggregate,
@@ -53,13 +52,13 @@ def svrg_config(schedule, rounds=3, snapshots=2, inner_steps=2, stepsize=0.05,
 
 class TestParticipationSchedule:
     def test_constant_one_activates_everyone(self):
-        schedule = ParticipationSchedule.constant_uniform(1.0)
+        schedule = ParticipationSchedule(1.0)
         rng = np.random.default_rng(0)
         for k in range(5):
             assert sample_participation(schedule.rows(k + 1, 7)[k], rng).all()
 
     def test_empirical_frequency_near_probability(self):
-        schedule = ParticipationSchedule.constant_uniform(0.5)
+        schedule = ParticipationSchedule(0.5)
         rng = np.random.default_rng(314)
         draws = np.array([
             sample_participation(schedule.rows(1, 2)[0], rng) for _ in range(10_000)
@@ -71,20 +70,24 @@ class TestParticipationSchedule:
 
     def test_rejects_out_of_range_probabilities(self):
         with pytest.raises(ValueError):
-            ParticipationSchedule.constant_uniform(0.0)
+            ParticipationSchedule(0.0)
         with pytest.raises(ValueError):
-            ParticipationSchedule.constant_uniform(1.5)
+            ParticipationSchedule(1.5)
         with pytest.raises(ValueError):
-            ParticipationSchedule.per_agent_fixed(np.array([0.5, -0.1]))
+            ParticipationSchedule(np.array([0.5, -0.1]))
 
     def test_direct_construction_is_validated(self):
         with pytest.raises(ValueError):
-            ParticipationSchedule(kind=ScheduleKind.CONSTANT, constant=5.0)
+            ParticipationSchedule(5.0)
         with pytest.raises(ValueError):
-            ParticipationSchedule(kind=ScheduleKind.PER_ROUND, matrix=np.full(3, 0.5))
+            ParticipationSchedule(np.full((2, 3, 4), 0.5))
+        with pytest.raises(ValueError):
+            ParticipationSchedule(np.empty((0, 3)))
+        with pytest.raises(ValueError):
+            ParticipationSchedule(np.array([0.5, np.nan]))
 
     def test_matrix_bounds_checked(self):
-        schedule = ParticipationSchedule.per_round_matrix(np.full((2, 3), 0.5))
+        schedule = ParticipationSchedule(np.full((2, 3), 0.5))
         rng = np.random.default_rng(0)
         sample_participation(schedule.rows(2, 3)[1], rng)
         with pytest.raises(ValueError):
@@ -93,25 +96,25 @@ class TestParticipationSchedule:
             sample_participation(schedule.rows(1, 4)[0], rng)
 
     def test_per_agent_length_checked(self):
-        schedule = ParticipationSchedule.per_agent_fixed(np.array([0.5, 0.5]))
+        schedule = ParticipationSchedule(np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             schedule.rows(1, 3)[0]
 
     @pytest.mark.parametrize("schedule", [
-        ParticipationSchedule.constant_uniform(0.25),
-        ParticipationSchedule.per_agent_fixed(np.array([0.5, 0.75, 1.0])),
-        ParticipationSchedule.per_round_matrix(np.linspace(0.1, 0.9, 15).reshape(5, 3)),
+        ParticipationSchedule(0.25),
+        ParticipationSchedule(np.array([0.5, 0.75, 1.0])),
+        ParticipationSchedule(np.linspace(0.1, 0.9, 15).reshape(5, 3)),
     ], ids=["constant", "per_agent", "per_round"])
     def test_rows_hold_every_round_in_order(self, schedule):
         rows = schedule.rows(4, 3)
         assert rows.shape == (4, 3)
         for k, row in enumerate(rows):
-            if schedule.kind is ScheduleKind.CONSTANT:
-                expected = np.full(3, schedule.constant)
-            elif schedule.kind is ScheduleKind.PER_AGENT:
+            if schedule.probs.ndim == 0:
+                expected = np.full(3, schedule.probs)
+            elif schedule.probs.ndim == 1:
                 expected = schedule.per_agent
             else:
-                expected = schedule.matrix[k]
+                expected = schedule.probs[k]
             assert row.tobytes() == expected.tobytes()
         assert schedule.rows(0, 3).shape == (0, 3)
 
@@ -140,7 +143,7 @@ class TestAggregate:
         # Probabilities are checked once, when the schedule that supplies
         # the divisors is built.
         with pytest.raises(ValueError):
-            ParticipationSchedule(kind=ScheduleKind.PER_AGENT, per_agent=np.array([0.0]))
+            ParticipationSchedule(np.array([0.0]))
 
     def test_rejects_mismatched_divisors(self):
         with pytest.raises(ValueError):
@@ -151,7 +154,7 @@ class TestRunRound:
     def test_single_round_all_active_is_global_gradient_step(self):
         dataset, _ = small_dataset()
         cfg = svrg_config(
-            ParticipationSchedule.constant_uniform(1.0),
+            ParticipationSchedule(1.0),
             rounds=1, snapshots=1, inner_steps=1, stepsize=0.05,
         )
         trace = run_training(LossKind.QUADRATIC, dataset, cfg)
@@ -162,7 +165,7 @@ class TestRunRound:
     def test_round_without_active_agents_carries_state(self):
         dataset, _ = small_dataset()
         cfg = svrg_config(
-            ParticipationSchedule.per_agent_fixed(np.array([1e-6, 1e-6])), rounds=1
+            ParticipationSchedule(np.array([1e-6, 1e-6])), rounds=1
         )
         trace = run_training(LossKind.QUADRATIC, dataset, cfg)
         rec = trace.records[0]
@@ -176,7 +179,7 @@ class TestRunRound:
             name="uniform",
             algorithm=Algorithm.FEDAVG_UNIFORM_BATCH,
             rounds=1,
-            schedule=ParticipationSchedule.constant_uniform(0.5),
+            schedule=ParticipationSchedule(0.5),
             theta0=np.zeros(2),
             master_seed=7,
             sgd=SgdParams(steps=3, base_stepsize=0.1, decay="constant"),
@@ -203,7 +206,7 @@ class TestRunRound:
             name="uniform",
             algorithm=Algorithm.FEDAVG_UNIFORM_BATCH,
             rounds=1,
-            schedule=ParticipationSchedule.constant_uniform(1.0),
+            schedule=ParticipationSchedule(1.0),
             theta0=np.zeros(2),
             master_seed=11,
             sgd=SgdParams(steps=2, base_stepsize=0.1, decay="constant"),
@@ -220,7 +223,7 @@ class TestRunRound:
     def test_divergence_carries_identity(self):
         dataset, _ = small_dataset()
         cfg = svrg_config(
-            ParticipationSchedule.constant_uniform(1.0), stepsize=1e200, name="boom"
+            ParticipationSchedule(1.0), stepsize=1e200, name="boom"
         )
         with pytest.raises(TrainingError) as err:
             run_training(LossKind.QUADRATIC, dataset, cfg, run_index=4)
@@ -233,14 +236,14 @@ class TestRunRound:
 class TestRunTraining:
     def test_zero_rounds_returns_empty_records(self):
         dataset, _ = small_dataset()
-        cfg = svrg_config(ParticipationSchedule.constant_uniform(1.0), rounds=0)
+        cfg = svrg_config(ParticipationSchedule(1.0), rounds=0)
         trace = run_training(LossKind.QUADRATIC, dataset, cfg)
         assert trace.records == []
         assert trace.initial_cost == global_cost(LossKind.QUADRATIC, dataset, np.zeros(2))
 
     def test_same_seed_is_bit_identical(self):
         dataset, _ = small_dataset()
-        cfg = svrg_config(ParticipationSchedule.per_agent_fixed(np.array([0.4, 0.8])))
+        cfg = svrg_config(ParticipationSchedule(np.array([0.4, 0.8])))
         a = run_training(LossKind.QUADRATIC, dataset, cfg, run_index=1)
         b = run_training(LossKind.QUADRATIC, dataset, cfg, run_index=1)
         for ra, rb in zip(a.records, b.records):
@@ -251,8 +254,8 @@ class TestRunTraining:
 
     def test_full_participation_depends_only_on_gradient_streams(self):
         dataset, _ = small_dataset()
-        constant = svrg_config(ParticipationSchedule.constant_uniform(1.0))
-        per_agent = svrg_config(ParticipationSchedule.per_agent_fixed(np.ones(2)))
+        constant = svrg_config(ParticipationSchedule(1.0))
+        per_agent = svrg_config(ParticipationSchedule(np.ones(2)))
         a = run_training(LossKind.QUADRATIC, dataset, constant)
         b = run_training(LossKind.QUADRATIC, dataset, per_agent)
         for ra, rb in zip(a.records, b.records):
@@ -265,7 +268,7 @@ class TestRunTraining:
             name="monotone",
             algorithm=Algorithm.FEDAVG_SVRG,
             rounds=20,
-            schedule=ParticipationSchedule.constant_uniform(1.0),
+            schedule=ParticipationSchedule(1.0),
             theta0=np.zeros(3),
             master_seed=3,
             svrg=SvrgParams(snapshots=1, inner_steps=1, stepsize=0.9 / bound),
@@ -285,7 +288,7 @@ class TestRunTraining:
 
         monkeypatch.setattr(federation, "svrg_local_update", counting)
         cfg = svrg_config(
-            ParticipationSchedule.per_agent_fixed(np.array([1e-6, 0.9, 0.4, 1.0])),
+            ParticipationSchedule(np.array([1e-6, 0.9, 0.4, 1.0])),
             rounds=6, dim=2,
         )
         trace = run_training(LossKind.QUADRATIC, dataset, cfg)
@@ -299,7 +302,7 @@ class TestRunTraining:
 
     def test_parameter_motion_implies_activity(self):
         dataset, _ = small_dataset()
-        cfg = svrg_config(ParticipationSchedule.per_agent_fixed(np.array([0.3, 0.6])),
+        cfg = svrg_config(ParticipationSchedule(np.array([0.3, 0.6])),
                           rounds=10)
         trace = run_training(LossKind.QUADRATIC, dataset, cfg)
         theta_prev = trace.theta0
@@ -310,7 +313,7 @@ class TestRunTraining:
 
     def test_theta0_dimension_checked(self):
         dataset, _ = small_dataset()
-        cfg = svrg_config(ParticipationSchedule.constant_uniform(1.0), dim=3)
+        cfg = svrg_config(ParticipationSchedule(1.0), dim=3)
         with pytest.raises(ValueError):
             run_training(LossKind.QUADRATIC, dataset, cfg)
 
@@ -320,7 +323,7 @@ class TestRunConfigValidation:
         with pytest.raises(ValueError):
             RunConfig(
                 name="x", algorithm=Algorithm.FEDAVG_SVRG, rounds=1,
-                schedule=ParticipationSchedule.constant_uniform(1.0),
+                schedule=ParticipationSchedule(1.0),
                 theta0=np.zeros(2), master_seed=0,
             )
 
@@ -328,7 +331,7 @@ class TestRunConfigValidation:
         with pytest.raises(ValueError):
             RunConfig(
                 name="x", algorithm=Algorithm.FEDAVG_UNIFORM_BATCH, rounds=1,
-                schedule=ParticipationSchedule.constant_uniform(1.0),
+                schedule=ParticipationSchedule(1.0),
                 theta0=np.zeros(2), master_seed=0,
                 sgd=SgdParams(steps=1),
             )
@@ -353,7 +356,7 @@ class TestRoundPlanning:
     def config(algorithm, probs, rounds=6, master_seed=2024, stepsize=0.05):
         common = dict(
             name=algorithm.value, algorithm=algorithm, rounds=rounds,
-            schedule=ParticipationSchedule.per_agent_fixed(np.array(probs)),
+            schedule=ParticipationSchedule(np.array(probs)),
             theta0=np.zeros(2), master_seed=master_seed,
         )
         if algorithm is Algorithm.FEDAVG_SVRG:
@@ -483,7 +486,7 @@ class TestGoldenTrace:
             dim=golden["dimension"],
         )
         cfg = svrg_config(
-            ParticipationSchedule.per_agent_fixed(np.array(golden["probs"])),
+            ParticipationSchedule(np.array(golden["probs"])),
             rounds=golden["rounds"],
             snapshots=golden["snapshots"],
             inner_steps=golden["inner_steps"],

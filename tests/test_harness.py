@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+import fedsim.config
 import fedsim.experiment
+from fedsim.cli import build_parser
 from fedsim.config import parse_config
 from fedsim.experiment import _write_json, run_experiment
 from fedsim.federation import TrainingError
@@ -286,6 +288,16 @@ class TestCli:
         assert proc.stdout == ""
         assert not out.exists()
 
+    def test_float_beyond_float_range_exits_2(self, tmp_path):
+        doc = experiment_doc()
+        doc["data"]["noise_std"] = 10**400
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli(["validate", str(path)])
+        assert proc.returncode == 2
+        assert proc.stderr == "config error: config.data.noise_std: must be finite\n"
+        assert proc.stdout == ""
+
     def test_missing_config_exits_2(self):
         proc = run_cli(["validate", "/nonexistent/path.json"])
         assert proc.returncode == 2
@@ -333,6 +345,22 @@ class TestCli:
         assert a != b
         resolved = json.loads((out_b / "config_resolved.json").read_text())
         assert resolved["master_seed"] == 123
+
+    def test_run_without_master_seed_parses_the_config_once(self, tmp_path, monkeypatch):
+        parse = fedsim.config.parse_config
+        calls = []
+
+        def counting_parse(*args, **kwargs):
+            calls.append(args)
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(fedsim.config, "parse_config", counting_parse)
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(experiment_doc(output_dir=str(tmp_path / "out"))))
+        args = build_parser().parse_args(["run", str(path)])
+        assert args.func(args) == 0
+        assert len(calls) == 1
+        assert (tmp_path / "out" / "summary.json").exists()
 
     def test_training_failure_reports_identity(self, tmp_path):
         doc = experiment_doc()

@@ -395,7 +395,7 @@ class TestTracedCallCounts:
         dataset, _ = generate_regression_dataset(4, 6, 3, 1.0, np.random.default_rng(5))
         cfg = RunConfig(
             name="svrg", algorithm=Algorithm.FEDAVG_SVRG, rounds=3,
-            schedule=ParticipationSchedule.constant_uniform(0.6), theta0=np.zeros(3),
+            schedule=ParticipationSchedule(0.6), theta0=np.zeros(3),
             master_seed=8, svrg=SvrgParams(snapshots=3, inner_steps=5, stepsize=0.01),
         )
         counts = self.count_calls(monkeypatch)
@@ -409,7 +409,7 @@ class TestTracedCallCounts:
         dataset, _ = generate_regression_dataset(4, 6, 3, 1.0, np.random.default_rng(5))
         cfg = RunConfig(
             name="sgd", algorithm=Algorithm.FEDAVG_PROB_SGD, rounds=3,
-            schedule=ParticipationSchedule.constant_uniform(0.6), theta0=np.zeros(3),
+            schedule=ParticipationSchedule(0.6), theta0=np.zeros(3),
             master_seed=8, sgd=SgdParams(steps=7, base_stepsize=0.01),
         )
         counts = self.count_calls(monkeypatch)

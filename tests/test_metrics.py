@@ -118,7 +118,7 @@ def tiny_experiment(rounds=5, runs=3, snapshots=2, inner_steps=3, stepsize=0.05,
                     probs=(0.6, 0.9)):
     gen = np.random.default_rng(23)
     dataset, _ = generate_regression_dataset(len(probs), 8, 2, 1.0, gen)
-    schedule = ParticipationSchedule.per_agent_fixed(np.array(probs))
+    schedule = ParticipationSchedule(np.array(probs))
     cfg = RunConfig(
         name="svrg", algorithm=Algorithm.FEDAVG_SVRG, rounds=rounds,
         schedule=schedule, theta0=np.zeros(2), master_seed=5,
@@ -138,7 +138,7 @@ class TestCostErrorTrace:
         theta_star, f_star = least_squares_oracle(dataset)
         cfg = RunConfig(
             name="svrg", algorithm=Algorithm.FEDAVG_SVRG, rounds=4,
-            schedule=ParticipationSchedule.constant_uniform(1.0),
+            schedule=ParticipationSchedule(1.0),
             theta0=theta_star, master_seed=2,
             svrg=SvrgParams(2, 2, 0.05),
         )

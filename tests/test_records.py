@@ -62,7 +62,7 @@ def test_import_does_not_load_dataclasses():
 
 
 def schedule():
-    return ParticipationSchedule.per_agent_fixed(np.array([0.5, 1.0]))
+    return ParticipationSchedule(np.array([0.5, 1.0]))
 
 
 def svrg_config():

@@ -84,13 +84,17 @@ class ExperimentConfig(Frozen):
     def with_overrides(
         self, master_seed: int | None = None, output_dir: str | None = None
     ) -> "ExperimentConfig":
-        """This config with a new master seed or output directory, checked by parse_config."""
-        doc = self.to_dict()
-        if master_seed is not None:
-            doc["master_seed"] = master_seed
-        if output_dir is not None:
-            doc["output_dir"] = output_dir
-        return parse_config(doc)
+        """This config with a new master seed or output directory.
+
+        Only the overridden keys are checked, each by its ``parse_config``
+        parser and path; the rest of the canonical document is already
+        resolved. The copy is shallow, as the document is never mutated.
+        """
+        doc = dict(self._doc)
+        for key, value in (("master_seed", master_seed), ("output_dir", output_dir)):
+            if value is not None:
+                doc[key] = _TOP_KEYS[key][0](value, f"config.{key}")
+        return ExperimentConfig(doc)
 
 
 def _build_schedule(node: dict) -> ParticipationSchedule:

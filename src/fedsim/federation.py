@@ -48,18 +48,24 @@ class ParticipationSchedule(Frozen):
     Its dimension is its layout: a 0-D array holds one probability for every
     agent and round, a 1-D array one probability per agent, and a 2-D array
     one row of agents per round. It is checked once, here: it must be
-    nonempty, at most 2-D, and every entry must lie in (0, 1].
+    nonempty, at most 2-D, and every entry must lie in (0, 1]. The schedule
+    keeps its own read-only copy, so no later write can undo that check.
     """
 
     def __init__(self, probs):
-        probs = np.asarray(probs, dtype=float)
+        probs = np.array(probs, dtype=float)
         if probs.ndim > 2:
             raise ValueError(f"participation probabilities must be 0-D to 2-D, got {probs.ndim}-D")
         if probs.size == 0:
             raise ValueError("participation probabilities must be nonempty")
         if not np.isfinite(probs).all() or (probs <= 0.0).any() or (probs > 1.0).any():
             raise ValueError("participation probabilities must lie in (0, 1]")
+        probs.flags.writeable = False
         self.__dict__.update(probs=probs)
+
+    def __reduce__(self):
+        # An unpickled or deep-copied array is writeable; rebuild through the check.
+        return ParticipationSchedule, (self.probs,)
 
     @property
     def per_agent(self) -> np.ndarray | None:

@@ -7,9 +7,10 @@ what makes run- and agent-level parallelism incapable of changing results.
 
 ``derive_rng`` builds one stream. ``derive_seeds`` computes the PCG64 seeds
 of many addresses at once: each address is still hashed with SHA-256, and
-then numpy's ``SeedSequence`` mixing (O'Neill's ``seed_seq``) runs as
-vectorized uint32 arithmetic over all of them. ``rng_from_seed`` turns one
-such seed into the generator ``derive_rng`` would have built.
+then numpy's ``SeedSequence`` mixing (O'Neill's ``seed_seq``) runs its own
+loops, in its own order, with each step applied to a whole row of
+addresses. ``rng_from_seed`` turns one such seed into the generator
+``derive_rng`` would have built.
 """
 
 from __future__ import annotations
@@ -45,53 +46,28 @@ def derive_rng(master_seed: int, label: str, *indices: int) -> np.random.Generat
     return np.random.default_rng(seed_sequence(master_seed, label, *indices))
 
 
-def _hash_consts(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``n`` (xor, multiply) constant pairs of a SeedSequence hash chain.
+def _hash_chain(init: int, mult: int):
+    """numpy's ``hashmix`` over rows of words, with its chain's running constant.
 
-    ``hashmix`` xors its word with the running constant, multiplies the
-    constant by ``mult`` and then the word by the new constant. The chain
-    never depends on the data, so it can be written out in advance.
+    Each call hashes a row the way numpy hashes one word: xor the constant
+    in, advance the constant by ``mult``, multiply by it and fold the high
+    half into the low half.
     """
-    xors, mults = [], []
     const = init
-    for _ in range(n):
-        xors.append(const)
+
+    def hashmix(words: np.ndarray) -> np.ndarray:
+        nonlocal const
+        out = words ^ np.uint32(const)
         const = (const * mult) & _MASK32
-        mults.append(const)
-    return np.array(xors, dtype=np.uint32), np.array(mults, dtype=np.uint32)
+        out *= np.uint32(const)
+        return out ^ (out >> 16)
 
-
-def _hashmix(words: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
-    out = (words ^ xors) * mults
-    return out ^ (out >> 16)
+    return hashmix
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     out = _MIX_MULT_L * x - _MIX_MULT_R * y
     return out ^ (out >> 16)
-
-
-def _column(consts: tuple[np.ndarray, np.ndarray], start: int, stop: int):
-    return tuple(c[start:stop, None] for c in consts)
-
-
-# SeedSequence.mix_entropy for 8 entropy words, in the order it spends its
-# hash constants: the first 4 words fill the pool, then every pool word is
-# mixed into every other (12 constants), then the last 4 words are each
-# mixed into all 4 pool words (16 constants). Words are rows and addresses
-# columns, so every step reads whole contiguous rows.
-_CHAIN = _hash_consts(_INIT_A, _MULT_A, _POOL + _POOL * (_POOL - 1) + (_WORDS - _POOL) * _POOL)
-_FILL = _column(_CHAIN, 0, _POOL)
-_CROSS = [
-    (src, [dst for dst in range(_POOL) if dst != src],
-     _column(_CHAIN, _POOL + (_POOL - 1) * src, _POOL + (_POOL - 1) * (src + 1)))
-    for src in range(_POOL)
-]
-_TAIL = _column(_CHAIN, _POOL * _POOL, len(_CHAIN[0]))
-_TAIL_SOURCES = np.repeat(np.arange(_POOL, _WORDS), _POOL)
-# SeedSequence.generate_state(4, np.uint64): 8 uint32 words cycling over the pool.
-_STATE = _column(_hash_consts(_INIT_B, _MULT_B, 2 * _POOL), 0, 2 * _POOL)
-_STATE_SOURCES = np.arange(2 * _POOL) % _POOL
 
 
 def derive_seeds(master_seed: int, label: str, index_rows) -> np.ndarray:
@@ -100,23 +76,33 @@ def derive_seeds(master_seed: int, label: str, index_rows) -> np.ndarray:
     Row ``r`` equals ``seed_sequence(master_seed, label, *index_rows[r])
     .generate_state(4, np.uint64)`` bit for bit, so ``rng_from_seed`` of it
     is the generator ``derive_rng`` gives for that address. The mixing is
-    vectorized over the rows; its fixed cost is over a hundred microseconds,
-    so single streams belong to ``derive_rng``.
+    about 300 numpy operations on rows, whatever the number of rows: a
+    fixed cost of about 0.3 ms per call on an idle 2-core Xeon, so single
+    streams belong to ``derive_rng`` (about 25 us there).
     """
     index_rows = [tuple(row) for row in index_rows]
     prefix = f"{int(master_seed)}|{label}"
     # ``%d`` formats an index as ``str(int(index))`` does in ``seed_sequence``.
     digests = b"".join(_digest(prefix + ("|%d" * len(row)) % row) for row in index_rows)
-    # SeedSequence reads the digest as an integer, least significant word first.
+    # SeedSequence reads the digest as an integer, least significant word
+    # first. Words are rows and addresses columns, so every step below runs
+    # numpy's loops in numpy's order, each on a whole row of addresses.
     entropy = np.frombuffer(digests, dtype=">u4").reshape(-1, _WORDS).T[::-1].astype(np.uint32)
 
-    pool = _hashmix(entropy[:_POOL], *_FILL)
-    for src, dsts, consts in _CROSS:
-        pool[dsts] = _mix(pool[dsts], _hashmix(pool[src], *consts))
-    tail = _hashmix(entropy[_TAIL_SOURCES], *_TAIL)
-    for i in range(_WORDS - _POOL):
-        pool = _mix(pool, tail[_POOL * i:_POOL * (i + 1)])
-    state = _hashmix(pool[_STATE_SOURCES], *_STATE)
+    # SeedSequence.mix_entropy: the first words fill the pool, every pool
+    # word is mixed into every other, then each remaining word into all.
+    hashmix = _hash_chain(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # SeedSequence.generate_state(4, np.uint64): 8 uint32 words cycling over the pool.
+    hashmix = _hash_chain(_INIT_B, _MULT_B)
+    state = np.array([hashmix(word) for word in pool * 2])
     seeds = state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
 
     # SeedSequence drops leading zero words of its entropy integer, so a

@@ -229,6 +229,9 @@ class TestResolution:
         assert out.master_seed == 9
         assert out.output_dir == "elsewhere"
         assert all(alg.master_seed == 9 for alg in out.algorithms)
+        assert out.to_dict() == parse_config(
+            minimal_doc(master_seed=9, output_dir="elsewhere")).to_dict()
+        assert cfg.master_seed != 9 and cfg.output_dir != "elsewhere"
 
     def test_algorithm_kinds_mapped(self):
         doc = minimal_doc()
@@ -472,6 +475,13 @@ class TestKeyTables:
         with pytest.raises(ConfigError) as err:
             cfg.with_overrides(master_seed=seed)
         assert str(err.value) == f"config.master_seed: {shown}"
+
+    @pytest.mark.parametrize("output_dir", ["", 7])
+    def test_override_output_dir_is_checked_as_config_output_dir(self, output_dir):
+        cfg = parse_config(minimal_doc())
+        with pytest.raises(ConfigError) as err:
+            cfg.with_overrides(output_dir=output_dir)
+        assert str(err.value) == "config.output_dir: expected a nonempty string"
 
     def test_readme_config_reference_names_every_key(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

@@ -1,3 +1,4 @@
+import copy
 import json
 import pickle
 from pathlib import Path
@@ -85,6 +86,24 @@ class TestParticipationSchedule:
             ParticipationSchedule(np.empty((0, 3)))
         with pytest.raises(ValueError):
             ParticipationSchedule(np.array([0.5, np.nan]))
+
+    def test_later_writes_to_the_source_array_do_not_reach_the_schedule(self):
+        probs = np.array([0.5, 0.6, 0.7])
+        schedule = ParticipationSchedule(probs)
+        probs[0] = 2.0
+        assert schedule.rows(2, 3)[0].tolist() == [0.5, 0.6, 0.7]
+        assert schedule.per_agent.tolist() == [0.5, 0.6, 0.7]
+
+    @pytest.mark.parametrize("round_trip", [
+        lambda s: s, lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy,
+    ], ids=["built", "pickle", "deepcopy"])
+    def test_probabilities_are_read_only(self, round_trip):
+        schedule = round_trip(ParticipationSchedule(np.array([0.5, 0.6, 0.7])))
+        with pytest.raises(ValueError, match="read-only"):
+            schedule.probs[1] = -1.0
+        with pytest.raises(ValueError, match="read-only"):
+            schedule.per_agent[0] = 2.0
+        assert schedule.probs.tolist() == [0.5, 0.6, 0.7]
 
     def test_matrix_bounds_checked(self):
         schedule = ParticipationSchedule(np.full((2, 3), 0.5))

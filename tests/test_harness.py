@@ -135,6 +135,23 @@ class TestRunExperiment:
         resolved = json.loads((tmp_path / "out" / "config_resolved.json").read_text())
         assert resolved == cfg.with_overrides(output_dir=str(tmp_path / "out")).to_dict()
 
+    def test_output_dir_override_is_not_a_reparse(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        run_experiment(parse_config(experiment_doc(runs=1, output_dir=str(out))))
+        resolved = (out / "config_resolved.json").read_bytes()
+        cfg = parse_config(experiment_doc(runs=1))
+        parse = fedsim.config.parse_config
+        calls = []
+
+        def counting_parse(*args, **kwargs):
+            calls.append(args)
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(fedsim.config, "parse_config", counting_parse)
+        run_experiment(cfg, output_dir=out)
+        assert calls == []
+        assert (out / "config_resolved.json").read_bytes() == resolved
+
     def test_csv_floats_round_trip(self, tmp_path):
         cfg = parse_config(experiment_doc())
         result = run_experiment(cfg, output_dir=tmp_path / "out")

@@ -14,6 +14,7 @@ import csv
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -148,40 +149,24 @@ def run_experiment(
         config.name, dataset.n_agents, config.data.samples_per_agent, f_star, smoothness,
     )
 
-    jobs = [
-        (alg, run_index)
-        for alg in config.algorithms
-        for run_index in range(config.runs)
-    ]
-    results: dict[tuple[str, int], RunTrace] = {}
+    # One job per (algorithm, run), in that order: each algorithm's runs are consecutive.
+    run_configs = [alg for alg in config.algorithms for _ in range(config.runs)]
+    run_indices = list(range(config.runs)) * len(config.algorithms)
+    job_args = (repeat(LossKind.QUADRATIC), repeat(dataset), run_configs, run_indices)
     # The pool forks all its workers at the first submit; more than one per job idles.
-    workers = min(workers, len(jobs))
+    workers = min(workers, len(run_configs))
     if workers <= 1:
-        for alg, run_index in jobs:
-            results[(alg.name, run_index)] = run_training(
-                LossKind.QUADRATIC, dataset, alg, run_index
-            )
+        results = list(map(run_training, *job_args))
     else:
+        # Executor.map raises the first failure in job order and cancels the jobs still queued.
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                (alg.name, run_index): pool.submit(
-                    run_training, LossKind.QUADRATIC, dataset, alg, run_index
-                )
-                for alg, run_index in jobs
-            }
-            try:
-                for key, future in futures.items():
-                    results[key] = future.result()
-            except BaseException:
-                # Report the first failure in job order now, not after the jobs still queued.
-                pool.shutdown(cancel_futures=True)
-                raise
+            results = list(pool.map(run_training, *job_args))
 
     traces: dict[str, list[RunTrace]] = {}
     summaries: dict[str, McSummary] = {}
     bounds: dict[str, BoundCheck] = {}
-    for alg in config.algorithms:
-        alg_traces = [results[(alg.name, run_index)] for run_index in range(config.runs)]
+    for i, alg in enumerate(config.algorithms):
+        alg_traces = results[i * config.runs:(i + 1) * config.runs]
         traces[alg.name] = alg_traces
         activations = sum(rec.n_active for trace in alg_traces for rec in trace.records)
         svrg = alg.algorithm is Algorithm.FEDAVG_SVRG

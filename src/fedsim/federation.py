@@ -166,14 +166,19 @@ class RunTrace:
 
 
 class RunConfig(Frozen):
-    """Everything one training run needs besides the dataset itself."""
+    """Everything one training run needs besides the dataset itself.
+
+    The config keeps its own read-only copy of ``theta0``, so no later write
+    to the caller's array reaches a run.
+    """
 
     def __init__(
         self, name: str, algorithm: Algorithm, rounds: int, schedule: ParticipationSchedule,
         theta0: np.ndarray, master_seed: int, svrg: SvrgParams | None = None,
         sgd: SgdParams | None = None, batch_size: int | None = None,
     ):
-        theta0 = np.asarray(theta0, dtype=float)
+        theta0 = np.array(theta0, dtype=float)
+        theta0.flags.writeable = False
         if rounds < 0:
             raise ValueError("rounds must be >= 0")
         if algorithm is Algorithm.FEDAVG_SVRG and svrg is None:
@@ -187,6 +192,11 @@ class RunConfig(Frozen):
             name=name, algorithm=algorithm, rounds=rounds, schedule=schedule, theta0=theta0,
             master_seed=master_seed, svrg=svrg, sgd=sgd, batch_size=batch_size,
         )
+
+    def __reduce__(self):
+        # An unpickled or deep-copied array is writeable; rebuild through the constructor.
+        return RunConfig, (self.name, self.algorithm, self.rounds, self.schedule, self.theta0,
+                           self.master_seed, self.svrg, self.sgd, self.batch_size)
 
 
 class TrainingError(RuntimeError):
@@ -228,22 +238,6 @@ def aggregate(theta_k: np.ndarray, deltas: list[np.ndarray], divisors) -> np.nda
     for delta, divisor in zip(deltas, divisors, strict=True):
         theta += delta / divisor
     return theta
-
-
-def _local_update(
-    kind: LossKind,
-    dataset: Dataset,
-    cfg: RunConfig,
-    theta_k: np.ndarray,
-    round_index: int,
-    agent: int,
-    rng: np.random.Generator,
-) -> LocalTrace:
-    shard = dataset.shards[agent]
-    if cfg.algorithm is Algorithm.FEDAVG_SVRG:
-        return svrg_local_update(kind, shard, theta_k, cfg.svrg, rng)
-    stepsize = cfg.sgd.stepsize_for_round(round_index)
-    return sgd_local_update(kind, shard, theta_k, cfg.sgd.steps, stepsize, rng)
 
 
 def _plan_rounds(cfg: RunConfig, n_agents: int, rounds, run_index: int) -> list[tuple]:
@@ -311,11 +305,18 @@ def run_round(
         (plan,) = _plan_rounds(cfg, dataset.n_agents, [round_index], run_index)
     indicators, divisors, seeds = plan
 
+    svrg = cfg.algorithm is Algorithm.FEDAVG_SVRG
+    if not svrg:
+        stepsize = cfg.sgd.stepsize_for_round(round_index)
     deltas: list[np.ndarray] = []
     traces: dict[int, LocalTrace] = {}
     for n, seed in zip(np.flatnonzero(indicators).tolist(), seeds, strict=True):
+        shard, rng = dataset.shards[n], rng_from_seed(seed)
         try:
-            trace = _local_update(kind, dataset, cfg, theta_k, round_index, n, rng_from_seed(seed))
+            if svrg:
+                trace = svrg_local_update(kind, shard, theta_k, cfg.svrg, rng)
+            else:
+                trace = sgd_local_update(kind, shard, theta_k, cfg.sgd.steps, stepsize, rng)
         except DivergenceError as exc:
             raise TrainingError(cfg.name, run_index, round_index, n, str(exc)) from exc
         deltas.append(trace.delta_w)
@@ -348,7 +349,7 @@ def run_training(
     The returned records carry no local traces; a variance-reduced run
     keeps its squared directions in ``RunTrace.v_sq_norms``.
     """
-    theta = np.asarray(cfg.theta0, dtype=float)
+    theta = cfg.theta0
     if theta.shape != (dataset.dimension,):
         raise ValueError(
             f"theta0 has shape {theta.shape}, expected ({dataset.dimension},)"

@@ -355,6 +355,22 @@ class TestRunConfigValidation:
                 sgd=SgdParams(steps=1),
             )
 
+    def test_later_writes_to_the_source_array_do_not_reach_the_config(self):
+        theta0 = np.zeros(2)
+        cfg = RunConfig("x", Algorithm.FEDAVG_PROB_SGD, 1, ParticipationSchedule(1.0), theta0, 0,
+                        sgd=SgdParams(steps=1))
+        theta0[0] = np.nan
+        assert cfg.theta0.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("round_trip", [
+        lambda c: c, lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy,
+    ], ids=["built", "pickle", "deepcopy"])
+    def test_theta0_is_read_only(self, round_trip):
+        cfg = round_trip(svrg_config(ParticipationSchedule(1.0)))
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.theta0[0] = np.nan
+        assert cfg.theta0.tolist() == [0.0, 0.0]
+
     def test_decay_modes(self):
         per_round = SgdParams(steps=1, base_stepsize=0.2, decay="per_round")
         assert per_round.stepsize_for_round(0) == pytest.approx(0.2)

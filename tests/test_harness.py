@@ -89,8 +89,14 @@ class TestRunExperiment:
         assert first.keys() == second.keys()
         assert all(first[k] == second[k] for k in first)
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path):
-        cfg = parse_config(experiment_doc())
+    @pytest.mark.parametrize("schedule", [
+        {"kind": "constant", "p": 0.7},
+        {"kind": "per_agent", "probs": [0.6, 0.9, 1.0]},
+        {"kind": "per_round", "probs": [[0.6, 0.9, 1.0], [1.0, 0.3, 0.5], [0.2, 0.8, 0.7],
+                                        [0.9, 0.9, 0.4]]},
+    ], ids=lambda schedule: schedule["kind"])
+    def test_worker_count_does_not_change_bytes(self, tmp_path, schedule):
+        cfg = parse_config(experiment_doc(schedule=schedule))
         out = tmp_path / "out"
         run_experiment(cfg, output_dir=out, workers=1)
         serial = read_outputs(out)
@@ -161,38 +167,59 @@ class TestRunExperiment:
         assert cost == result.traces["fedavg_svrg"][0].records[0].cost
 
 
+class LazyFuture(concurrent.futures.Future):
+    """A future whose job runs when something first waits on it, unless it was cancelled."""
+
+    def __init__(self, fn, args):
+        super().__init__()
+        self.job = fn, args
+
+    def run_once(self):
+        if not self.done() and self.set_running_or_notify_cancel():
+            fn, args = self.job
+            try:
+                self.set_result(fn(*args))
+            except Exception as exc:
+                # As in a real pool, a job's error is raised by its future's result().
+                self.set_exception(exc)
+
+    def result(self, timeout=None):
+        self.run_once()
+        return super().result(timeout)
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """The max_workers of every pool run_experiment opens; the jobs run inline.
 
-    The stand-in pool also records the ``cancel_futures`` of every explicit
-    ``shutdown`` call in its class attribute ``shutdowns``.
+    The stand-in pool derives its ``map`` from ``concurrent.futures.Executor``,
+    as ``ProcessPoolExecutor`` does. Its class attribute ``ran`` records the
+    (algorithm, run) of every job that ran, in the order they ran. Like a
+    real pool, it runs every job it was given unless the job is cancelled:
+    at the latest when it shuts down.
     """
     sizes = []
 
-    class InlinePool:
-        shutdowns = []
+    class InlinePool(concurrent.futures.Executor):
+        ran = []
 
         def __init__(self, max_workers):
             sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+            self.futures = []
 
         def submit(self, fn, *args):
-            # As in a real pool, a job's error is raised by its future's result().
-            future = concurrent.futures.Future()
-            try:
-                future.set_result(fn(*args))
-            except Exception as exc:
-                future.set_exception(exc)
-            return future
+            def job(kind, dataset, cfg, run_index):
+                self.ran.append((cfg.name, run_index))
+                return fn(kind, dataset, cfg, run_index)
+
+            self.futures.append(LazyFuture(job, args))
+            return self.futures[-1]
 
         def shutdown(self, wait=True, *, cancel_futures=False):
-            self.shutdowns.append(cancel_futures)
+            for future in self.futures:
+                if cancel_futures:
+                    future.cancel()
+                future.run_once()
 
     monkeypatch.setattr(fedsim.experiment, "ProcessPoolExecutor", InlinePool)
     return sizes
@@ -218,16 +245,19 @@ class TestWorkerPool:
         assert read_outputs(out) == pooled
 
     def test_a_failing_job_cancels_the_queued_ones(self, tmp_path, pool_sizes):
-        shutdowns = fedsim.experiment.ProcessPoolExecutor.shutdowns
+        ran = fedsim.experiment.ProcessPoolExecutor.ran
         run_experiment(parse_config(experiment_doc()), output_dir=tmp_path / "ok", workers=2)
-        assert shutdowns == []
+        algorithms = ["fedavg_svrg", "fedavg_prob_sgd", "fedavg_uniform_batch"]
+        assert ran == [(name, run) for name in algorithms for run in range(3)]
+        ran.clear()
         doc = experiment_doc()
         doc["algorithms"][0]["stepsize"] = 1e200
         with pytest.raises(TrainingError) as err:
             run_experiment(parse_config(doc), output_dir=tmp_path / "out", workers=2)
         # The error is still that of the first failing job in (algorithm, run) order.
         assert (err.value.algorithm, err.value.run_index) == ("fedavg_svrg", 0)
-        assert shutdowns == [True]
+        # No job after it ever ran.
+        assert ran == [("fedavg_svrg", 0)]
 
     def test_a_single_job_runs_serially(self, tmp_path, pool_sizes):
         doc = experiment_doc(runs=1)

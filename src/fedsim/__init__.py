@@ -38,7 +38,6 @@ from .local_update import (
     variance_reduced_grad,
 )
 from .losses import (
-    AgentShard,
     Dataset,
     LossKind,
     SingularSystemError,

@@ -11,7 +11,8 @@ resolved to equal work. ``ExperimentConfig`` is built from that document
 and keeps it, so the serialized form of a loaded config is fully explicit
 and loads back to an identical config.
 
-All probabilities must lie in [1e-6, 1]; the inverse-probability weighting
+All probabilities must lie in [PROB_FLOOR, 1] = [1e-6, 1], the range
+``ParticipationSchedule`` also enforces; the inverse-probability weighting
 amplifies variance without bound below that floor.
 """
 
@@ -27,11 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .federation import Algorithm, ParticipationSchedule, RunConfig, SgdParams
+from .federation import PROB_FLOOR, Algorithm, ParticipationSchedule, RunConfig, SgdParams
 from .frozen import Frozen
 from .local_update import SvrgParams
 
-PROB_FLOOR = 1e-6
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
 

@@ -138,6 +138,8 @@ def run_experiment(
     ``output_dir`` argument overrides the config's and is echoed in
     ``config_resolved.json`` so the written config reproduces this run.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if output_dir is not None:
         config = config.with_overrides(output_dir=str(output_dir))
     out_dir = Path(config.output_dir)

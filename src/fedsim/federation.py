@@ -32,6 +32,9 @@ logger = logging.getLogger(__name__)
 
 PARTICIPATION_LABEL = "participation"
 GRADIENT_LABEL = "gradients"
+# The smallest activation probability: inverse-probability weighting divides
+# by p * N, which amplifies variance without bound as p goes to 0.
+PROB_FLOOR = 1e-6
 
 
 class Algorithm(enum.Enum):
@@ -48,8 +51,9 @@ class ParticipationSchedule(Frozen):
     Its dimension is its layout: a 0-D array holds one probability for every
     agent and round, a 1-D array one probability per agent, and a 2-D array
     one row of agents per round. It is checked once, here: it must be
-    nonempty, at most 2-D, and every entry must lie in (0, 1]. The schedule
-    keeps its own read-only copy, so no later write can undo that check.
+    nonempty, at most 2-D, and every entry must lie in [PROB_FLOOR, 1]. The
+    schedule keeps its own read-only copy, so no later write can undo that
+    check.
     """
 
     def __init__(self, probs):
@@ -58,8 +62,8 @@ class ParticipationSchedule(Frozen):
             raise ValueError(f"participation probabilities must be 0-D to 2-D, got {probs.ndim}-D")
         if probs.size == 0:
             raise ValueError("participation probabilities must be nonempty")
-        if not np.isfinite(probs).all() or (probs <= 0.0).any() or (probs > 1.0).any():
-            raise ValueError("participation probabilities must lie in (0, 1]")
+        if not np.isfinite(probs).all() or (probs < PROB_FLOOR).any() or (probs > 1.0).any():
+            raise ValueError(f"participation probabilities must lie in [{PROB_FLOOR}, 1]")
         probs.flags.writeable = False
         self.__dict__.update(probs=probs)
 

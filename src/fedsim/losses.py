@@ -42,27 +42,13 @@ class SingularSystemError(ValueError):
 
 
 class AgentShard(Frozen):
-    """One agent's local supervised dataset.
+    """One agent's samples: an unchecked view that only ``Dataset`` makes.
 
     features : (n_samples, dim) array, one input row per sample
     labels   : (n_samples,) array of targets
     """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray):
-        features = np.asarray(features, dtype=float)
-        labels = np.asarray(labels, dtype=float)
-        if features.ndim != 2:
-            raise ValueError("features must be a 2-D array")
-        if labels.ndim != 1:
-            raise ValueError("labels must be a 1-D array")
-        if features.shape[0] != labels.shape[0]:
-            raise ValueError(
-                f"feature rows ({features.shape[0]}) and labels ({labels.shape[0]}) disagree"
-            )
-        if features.shape[0] < 1:
-            raise ValueError("shard must contain at least one sample")
-        if not (np.isfinite(features).all() and np.isfinite(labels).all()):
-            raise ValueError("shard entries must be finite")
         self.__dict__.update(features=features, labels=labels)
 
     @property
@@ -81,9 +67,10 @@ class Dataset(Frozen):
     labels   : (n_agents, n_samples) array of targets
 
     Both are kept as C-contiguous float64 arrays, without a copy when they
-    already are. Every shard in ``shards`` is a view into the stack, checked
-    by ``AgentShard``'s own checks, so every agent holds the same number of
-    samples and the same dimension.
+    already are. They are checked once, here: at least one agent and one
+    sample, and finite entries. Every shard in ``shards`` is an
+    ``AgentShard`` view into the stack, so every agent holds the same number
+    of samples and the same dimension.
     """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray):
@@ -100,6 +87,10 @@ class Dataset(Frozen):
             )
         if features.shape[0] < 1:
             raise ValueError("dataset must contain at least one agent")
+        if features.shape[1] < 1:
+            raise ValueError("each agent must hold at least one sample")
+        if not (np.isfinite(features).all() and np.isfinite(labels).all()):
+            raise ValueError("dataset entries must be finite")
         shards = tuple(AgentShard(f, y) for f, y in zip(features, labels))
         self.__dict__.update(shards=shards, features=features, labels=labels)
 

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from fedsim.losses import AgentShard, Dataset, generate_regression_dataset
+from fedsim.losses import Dataset, generate_regression_dataset
+
+
+def make_shard(features, labels):
+    """The one shard of a single-agent Dataset: shards exist only as Dataset views."""
+    return Dataset(np.asarray(features)[np.newaxis], np.asarray(labels)[np.newaxis]).shards[0]
 
 
 def random_shard(rng, n_samples=6, dim=4, pm_one_labels=False):
@@ -10,7 +15,7 @@ def random_shard(rng, n_samples=6, dim=4, pm_one_labels=False):
         labels = rng.choice([-1.0, 1.0], size=n_samples)
     else:
         labels = rng.standard_normal(n_samples)
-    return AgentShard(features, labels)
+    return make_shard(features, labels)
 
 
 def stacked_dataset(shards):

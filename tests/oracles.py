@@ -22,7 +22,6 @@ from fedsim.local_update import (
     variance_reduced_grad,
 )
 from fedsim.losses import (
-    AgentShard,
     Dataset,
     LossKind,
     agent_full_grad,
@@ -42,14 +41,10 @@ def sliced_regression_dataset(n_agents, samples_per_agent, dimension, noise_std,
     features = rng.standard_normal((total, dimension))
     theta_true = rng.standard_normal(dimension)
     labels = features @ theta_true + noise_std * rng.standard_normal(total)
-    shards = []
-    for n in range(n_agents):
-        lo = n * samples_per_agent
-        hi = lo + samples_per_agent
-        shards.append(AgentShard(features[lo:hi], labels[lo:hi]))
+    blocks = [slice(n * samples_per_agent, (n + 1) * samples_per_agent) for n in range(n_agents)]
     stacked = Dataset(
-        np.stack([shard.features for shard in shards]),
-        np.stack([shard.labels for shard in shards]),
+        np.stack([features[block] for block in blocks]),
+        np.stack([labels[block] for block in blocks]),
     )
     return stacked, theta_true
 

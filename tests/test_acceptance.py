@@ -20,6 +20,7 @@ from fedsim.experiment import run_experiment
 from fedsim.federation import aggregate
 from fedsim.local_update import SvrgParams, variance_reduced_grad
 from fedsim.losses import (
+    Dataset,
     LossKind,
     agent_full_grad,
     component_grad,
@@ -246,14 +247,10 @@ def test_criterion_10_gradient_correctness():
     worst = 0.0
     for kind in (LossKind.QUADRATIC, LossKind.LOGISTIC):
         dataset, _ = generate_regression_dataset(2, 10, 6, 1.0, rng)
-        shards = list(dataset.shards)
         if kind is LossKind.LOGISTIC:
-            from fedsim.losses import AgentShard
-
-            shards = [
-                AgentShard(s.features, np.sign(s.labels) + (s.labels == 0))
-                for s in shards
-            ]
+            labels = dataset.labels
+            dataset = Dataset(dataset.features, np.sign(labels) + (labels == 0))
+        shards = dataset.shards
         for _ in range(50):
             shard = shards[int(rng.integers(len(shards)))]
             i = int(rng.integers(shard.n_samples))

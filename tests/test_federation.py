@@ -20,14 +20,13 @@ from fedsim.federation import (
 )
 from fedsim.local_update import SvrgParams, svrg_local_update
 from fedsim.losses import (
-    AgentShard,
+    Dataset,
     LossKind,
     generate_regression_dataset,
     global_cost,
     global_grad,
     smoothness_constant,
 )
-from conftest import stacked_dataset
 from oracles import enumerate_aggregate_mean, interleaved_run_training
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_trace.json"
@@ -76,6 +75,8 @@ class TestParticipationSchedule:
             ParticipationSchedule(1.5)
         with pytest.raises(ValueError):
             ParticipationSchedule(np.array([0.5, -0.1]))
+        with pytest.raises(ValueError, match=r"\[1e-06, 1\]"):
+            ParticipationSchedule(5e-7)
 
     def test_direct_construction_is_validated(self):
         with pytest.raises(ValueError):
@@ -464,11 +465,8 @@ class TestRoundPlanning:
         # in the first round that activates agent 3, after later rounds'
         # participation has already been drawn.
         base, _ = small_dataset(n_agents=5)
-        shards = tuple(
-            AgentShard(shard.features * (1e60 if n == 3 else 1.0), shard.labels)
-            for n, shard in enumerate(base.shards)
-        )
-        dataset = stacked_dataset(shards)
+        scale = np.where(np.arange(base.n_agents) == 3, 1e60, 1.0)
+        dataset = Dataset(base.features * scale[:, np.newaxis, np.newaxis], base.labels)
         cfg = self.config(algorithm, self.PROBS, rounds=12, master_seed=5)
         with pytest.raises(TrainingError) as expected:
             interleaved_run_training(LossKind.QUADRATIC, dataset, cfg, run_index=2)

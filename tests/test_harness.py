@@ -244,6 +244,14 @@ class TestWorkerPool:
         assert pool_sizes == expected
         assert read_outputs(out) == pooled
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_a_worker_count_below_one(self, tmp_path, pool_sizes, workers):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            run_experiment(parse_config(experiment_doc()), output_dir=out, workers=workers)
+        assert pool_sizes == []
+        assert not out.exists()
+
     def test_a_failing_job_cancels_the_queued_ones(self, tmp_path, pool_sizes):
         ran = fedsim.experiment.ProcessPoolExecutor.ran
         run_experiment(parse_config(experiment_doc()), output_dir=tmp_path / "ok", workers=2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fedsim.local_update as local_update
-from conftest import random_shard
+from conftest import make_shard, random_shard
 from fedsim.federation import (
     Algorithm,
     ParticipationSchedule,
@@ -18,7 +18,6 @@ from fedsim.local_update import (
     variance_reduced_grad,
 )
 from fedsim.losses import (
-    AgentShard,
     Dataset,
     LossKind,
     agent_full_grad,
@@ -81,7 +80,7 @@ class TestVarianceReducedGrad:
     def test_matches_hand_expansion_two_samples(self):
         rows = np.array([[1.0, 2.0], [3.0, -1.0]])
         labels = np.array([1.0, -2.0])
-        shard = AgentShard(rows, labels)
+        shard = make_shard(rows, labels)
         w = np.array([0.4, -0.7])
         w_tilde = np.array([-0.2, 0.3])
         # Hand expansion of the two-sample quadratic case.
@@ -338,7 +337,7 @@ class TestDivergencePosition:
         return position, steps
 
     def test_direction_norm_overflows(self, monkeypatch):
-        shard = AgentShard(self.ROWS, np.array([1.0, -2.0, 0.5]))
+        shard = make_shard(self.ROWS, [1.0, -2.0, 0.5])
         params = SvrgParams(snapshots=3, inner_steps=4, stepsize=1.0)
         position, steps = self.run_recorded(monkeypatch, shard, np.array([1e150, -1e150]), params, 0)
         assert position == (1, 0)
@@ -350,7 +349,7 @@ class TestDivergencePosition:
     def test_huge_but_finite_iterate_continues(self, monkeypatch):
         # w @ w overflows while every entry of w is finite: the entrywise
         # fallback must let the update go on to the next step.
-        shard = AgentShard(self.ROWS, np.array([1.0, -2.0, 0.5]))
+        shard = make_shard(self.ROWS, [1.0, -2.0, 0.5])
         params = SvrgParams(snapshots=3, inner_steps=4, stepsize=1e100)
         position, steps = self.run_recorded(monkeypatch, shard, np.array([1.0, -1.0]), params, 0)
         assert position == (0, 2)
@@ -363,7 +362,7 @@ class TestDivergencePosition:
         # residual gradients overflow to -inf and +inf while the full gradient
         # stays finite; the first anchored step on either gives inf - inf.
         rows = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, -1.0]])
-        shard = AgentShard(rows, np.array([1e308, -1e308, 0.5]))
+        shard = make_shard(rows, [1e308, -1e308, 0.5])
         params = SvrgParams(snapshots=2, inner_steps=3, stepsize=0.05)
         position, steps = self.run_recorded(monkeypatch, shard, np.array([0.3, -0.2]), params, 4)
         assert position == (1, 0)

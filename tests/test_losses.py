@@ -4,9 +4,8 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import random_dataset, random_shard, stacked_dataset
+from conftest import make_shard, random_dataset, random_shard, stacked_dataset
 from fedsim.losses import (
-    AgentShard,
     Dataset,
     LossKind,
     SingularSystemError,
@@ -36,25 +35,7 @@ THETA_SCALES = (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
 
 
 def single_sample_shard(row, label):
-    return AgentShard(np.array([row], dtype=float), np.array([label], dtype=float))
-
-
-class TestShardValidation:
-    def test_rejects_row_label_mismatch(self):
-        with pytest.raises(ValueError):
-            AgentShard(np.ones((3, 2)), np.ones(2))
-
-    def test_rejects_empty_shard(self):
-        with pytest.raises(ValueError):
-            AgentShard(np.ones((0, 2)), np.ones(0))
-
-    def test_rejects_nonfinite_entries(self):
-        with pytest.raises(ValueError):
-            AgentShard(np.array([[1.0, np.inf]]), np.array([0.0]))
-
-    def test_dataset_rejects_empty(self):
-        with pytest.raises(ValueError, match="at least one agent"):
-            Dataset(np.ones((0, 2, 2)), np.ones((0, 2)))
+    return make_shard([row], [label])
 
 
 class TestDatasetStack:
@@ -69,19 +50,25 @@ class TestDatasetStack:
         with pytest.raises(ValueError, match="labels"):
             Dataset(np.ones((2, 4, 3)), np.ones(shape))
 
+    def test_rejects_zero_agents(self):
+        with pytest.raises(ValueError, match="at least one agent"):
+            Dataset(np.ones((0, 2, 2)), np.ones((0, 2)))
+
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError, match="at least one sample"):
             Dataset(np.ones((3, 0, 2)), np.ones((3, 0)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["features", "labels"])
-    def test_rejects_a_nonfinite_entry_in_the_last_agent(self, bad, field, rng):
+    @pytest.mark.parametrize("agent", [0, 2, -1], ids=["first", "middle", "last"])
+    def test_rejects_a_nonfinite_entry_in_any_agent(self, bad, field, agent, rng):
+        # One stack-wide check must catch a bad entry wherever it sits.
         features = rng.standard_normal((5, 4, 3))
         labels = rng.standard_normal((5, 4))
         if field == "features":
-            features[-1, -1, -1] = bad
+            features[agent, -1, -1] = bad
         else:
-            labels[-1, -1] = bad
+            labels[agent, -1] = bad
         with pytest.raises(ValueError, match="finite"):
             Dataset(features, labels)
 
@@ -229,7 +216,7 @@ class TestAgentFullGrad:
         )
 
     def test_opposite_residuals_cancel(self):
-        shard = AgentShard(np.array([[1.0, 2.0], [1.0, 2.0]]), np.array([1.5, -1.5]))
+        shard = make_shard([[1.0, 2.0], [1.0, 2.0]], [1.5, -1.5])
         grad = agent_full_grad(LossKind.QUADRATIC, shard, np.zeros(2))
         assert np.allclose(grad, np.zeros(2), atol=1e-15)
 
@@ -324,7 +311,7 @@ class TestLeastSquaresOracle:
         assert abs(f_star) < 1e-16
 
     def test_one_dimensional_mean(self):
-        shard = AgentShard(np.array([[1.0], [1.0]]), np.array([0.0, 2.0]))
+        shard = make_shard([[1.0], [1.0]], [0.0, 2.0])
         theta_star, f_star = least_squares_oracle(stacked_dataset((shard,)))
         assert theta_star == pytest.approx(np.array([1.0]), abs=1e-12)
         assert f_star == pytest.approx(1.0, abs=1e-12)
@@ -337,7 +324,7 @@ class TestLeastSquaresOracle:
         assert np.linalg.norm(grad) <= 1e-8
 
     def test_singular_system_raises(self):
-        shard = AgentShard(np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1.0, 2.0]))
+        shard = make_shard([[1.0, 0.0], [2.0, 0.0]], [1.0, 2.0])
         with pytest.raises(SingularSystemError):
             least_squares_oracle(stacked_dataset((shard,)))
 

@@ -24,7 +24,8 @@ from fedsim.local_update import (  # noqa: E402
     sgd_local_update,
     svrg_local_update,
 )
-from fedsim.losses import AgentShard, LossKind  # noqa: E402
+from fedsim.losses import LossKind  # noqa: E402
+from conftest import make_shard  # noqa: E402
 from oracles import (  # noqa: E402
     enumerate_aggregate_mean,
     loop_sgd_local_update,
@@ -147,7 +148,7 @@ def solver_cases(draw):
     shape = (draw(st.integers(1, 4)), draw(st.integers(1, 6)))
     # Large stepsizes drive the update into overflow, so divergence is covered too.
     stepsize = draw(st.sampled_from([0.0, 1e-3, 0.05, 0.5, 10.0, 1e100]))
-    return kind, AgentShard(features, labels), theta, shape, stepsize, draw(st.integers(0, 2**32))
+    return kind, make_shard(features, labels), theta, shape, stepsize, draw(st.integers(0, 2**32))
 
 
 def _outcome(solver, *args):

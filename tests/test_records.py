@@ -30,7 +30,7 @@ from fedsim import (
     load_builtin_config,
     run_training,
 )
-from fedsim.losses import AgentShard, LossKind
+from fedsim.losses import LossKind
 
 
 def fedsim_classes():
@@ -72,7 +72,7 @@ def svrg_config():
 
 
 FROZEN = {
-    "AgentShard": lambda: AgentShard(np.ones((2, 2)), np.ones(2)),
+    "AgentShard": lambda: Dataset(np.ones((1, 2, 2)), np.ones((1, 2))).shards[0],
     "Dataset": lambda: Dataset(np.ones((1, 2, 2)), np.ones((1, 2))),
     "SvrgParams": lambda: SvrgParams(1, 2, 0.1),
     "LocalTrace": lambda: LocalTrace(np.zeros((1, 2)), np.zeros(2)),

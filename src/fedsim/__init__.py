@@ -25,7 +25,6 @@ from .federation import (
     SgdParams,
     TrainingError,
     aggregate,
-    run_round,
     run_training,
     sample_participation,
 )

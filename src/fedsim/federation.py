@@ -166,12 +166,13 @@ class RunTrace:
 
     @property
     def final_theta(self) -> np.ndarray:
-        return self.records[-1].theta if self.records else self.theta0
+        return self.records[-1].theta
 
 
 class RunConfig(Frozen):
     """Everything one training run needs besides the dataset itself.
 
+    A run has at least one round: ``rounds`` must be >= 1, as in a config.
     The config keeps its own read-only copy of ``theta0``, so no later write
     to the caller's array reaches a run.
     """
@@ -183,8 +184,8 @@ class RunConfig(Frozen):
     ):
         theta0 = np.array(theta0, dtype=float)
         theta0.flags.writeable = False
-        if rounds < 0:
-            raise ValueError("rounds must be >= 0")
+        if rounds < 1:
+            raise ValueError("rounds must be >= 1")
         if algorithm is Algorithm.FEDAVG_SVRG and svrg is None:
             raise ValueError("fedavg_svrg requires svrg parameters")
         if algorithm is not Algorithm.FEDAVG_SVRG and sgd is None:
@@ -244,11 +245,11 @@ def aggregate(theta_k: np.ndarray, deltas: list[np.ndarray], divisors) -> np.nda
     return theta
 
 
-def _plan_rounds(cfg: RunConfig, n_agents: int, rounds, run_index: int) -> list[tuple]:
-    """Participation and gradient seeds of the given rounds, in order.
+def _plan_rounds(cfg: RunConfig, n_agents: int, run_index: int) -> list[tuple]:
+    """Participation and gradient seeds of all ``cfg.rounds`` rounds of one run, in order.
 
-    Participation never depends on the iterate, so a run can draw it for
-    every round before its first. Each round's draw comes from its own
+    Participation never depends on the iterate, so a run draws it for every
+    round before its first. Each round's draw comes from its own
     participation stream: Bernoulli-participation algorithms draw
     independent activations with the probabilities of one ``schedule.rows``
     matrix (the stream is independent of the algorithm name, so paired
@@ -261,10 +262,9 @@ def _plan_rounds(cfg: RunConfig, n_agents: int, rounds, run_index: int) -> list[
     """
     uniform = cfg.algorithm is Algorithm.FEDAVG_UNIFORM_BATCH
     if not uniform:
-        # One matrix covering round 0 to the last round planned.
-        probs_rows = cfg.schedule.rows(max(rounds, default=-1) + 1, n_agents)
+        probs_rows = cfg.schedule.rows(cfg.rounds, n_agents)
     draws = []
-    for k in rounds:
+    for k in range(cfg.rounds):
         part_rng = derive_rng(cfg.master_seed, PARTICIPATION_LABEL, run_index, k)
         if uniform:
             chosen = part_rng.choice(n_agents, size=cfg.batch_size, replace=False)
@@ -275,18 +275,14 @@ def _plan_rounds(cfg: RunConfig, n_agents: int, rounds, run_index: int) -> list[
             probs = probs_rows[k]
             indicators = sample_participation(probs, part_rng)
             divisors = probs[indicators] * n_agents
-        draws.append((k, indicators, divisors))
+        draws.append((indicators, divisors))
 
-    slots = [(run_index, k, n) for k, indicators, _ in draws
+    slots = [(run_index, k, n) for k, (indicators, _) in enumerate(draws)
              for n in np.flatnonzero(indicators).tolist()]
     seeds = derive_seeds(cfg.master_seed, f"{GRADIENT_LABEL}/{cfg.name}", slots)
-    plans = []
-    start = 0
-    for _, indicators, divisors in draws:
-        stop = start + len(divisors)
-        plans.append((indicators, divisors, seeds[start:stop]))
-        start = stop
-    return plans
+    ends = np.cumsum([len(divisors) for _, divisors in draws])
+    return [(indicators, divisors, rows) for (indicators, divisors), rows
+            in zip(draws, np.split(seeds, ends[:-1]), strict=True)]
 
 
 def run_round(
@@ -295,38 +291,33 @@ def run_round(
     cfg: RunConfig,
     theta_k: np.ndarray,
     round_index: int,
-    run_index: int = 0,
-    plan: tuple | None = None,
+    run_index: int,
+    plan: tuple,
 ) -> RoundRecord:
-    """Execute one round from ``theta_k`` and record the post-round state.
+    """Execute one planned round from ``theta_k`` and record the post-round state.
 
-    ``plan`` is the round's ``(indicators, divisors, seeds)`` from
-    ``_plan_rounds``; without it the round plans itself the same way. Each
-    active agent consumes its own gradient stream keyed by (algorithm, run,
-    round, agent).
+    This is ``run_training``'s step. ``plan`` is round ``round_index``'s
+    ``(indicators, divisors, seeds)`` from ``_plan_rounds(cfg, n_agents,
+    run_index)``. Each active agent consumes its own gradient stream keyed
+    by (algorithm, run, round, agent), and the record's ``local_traces``
+    keep every active agent's local trace.
     """
-    if plan is None:
-        (plan,) = _plan_rounds(cfg, dataset.n_agents, [round_index], run_index)
     indicators, divisors, seeds = plan
-
     svrg = cfg.algorithm is Algorithm.FEDAVG_SVRG
     if not svrg:
         stepsize = cfg.sgd.stepsize_for_round(round_index)
-    deltas: list[np.ndarray] = []
     traces: dict[int, LocalTrace] = {}
     for n, seed in zip(np.flatnonzero(indicators).tolist(), seeds, strict=True):
         shard, rng = dataset.shards[n], rng_from_seed(seed)
         try:
             if svrg:
-                trace = svrg_local_update(kind, shard, theta_k, cfg.svrg, rng)
+                traces[n] = svrg_local_update(kind, shard, theta_k, cfg.svrg, rng)
             else:
-                trace = sgd_local_update(kind, shard, theta_k, cfg.sgd.steps, stepsize, rng)
+                traces[n] = sgd_local_update(kind, shard, theta_k, cfg.sgd.steps, stepsize, rng)
         except DivergenceError as exc:
             raise TrainingError(cfg.name, run_index, round_index, n, str(exc)) from exc
-        deltas.append(trace.delta_w)
-        traces[n] = trace
 
-    theta_next = aggregate(theta_k, deltas, divisors)
+    theta_next = aggregate(theta_k, [trace.delta_w for trace in traces.values()], divisors)
     grad = global_grad(kind, dataset, theta_next)
     return RoundRecord(
         round_index=round_index,
@@ -367,7 +358,7 @@ def run_training(
         initial_grad_norm_sq=float(grad0 @ grad0),
         records=[],
     )
-    plans = _plan_rounds(cfg, dataset.n_agents, range(cfg.rounds), run_index)
+    plans = _plan_rounds(cfg, dataset.n_agents, run_index)
     if cfg.algorithm is Algorithm.FEDAVG_SVRG:
         activations = sum(len(divisors) for _, divisors, _ in plans)
         trace.v_sq_norms = np.empty((activations, cfg.svrg.snapshots, cfg.svrg.inner_steps))

@@ -15,19 +15,13 @@ from .federation import RunTrace
 from .local_update import SvrgParams
 
 
-def cost_matrix(traces: list[RunTrace]) -> np.ndarray:
-    """Recorded post-round costs as a (runs x rounds) matrix."""
-    if not traces:
-        raise ValueError("need at least one run trace")
-    mat = np.array([trace.costs for trace in traces])
-    if mat.ndim != 2:
-        raise ValueError("runs have differing round counts")
-    return mat
-
-
 def cost_error_trace(traces: list[RunTrace], f_star: float) -> np.ndarray:
     """Per-run, per-round optimality gap: recorded cost minus the optimal value."""
-    return cost_matrix(traces) - f_star
+    if not traces:
+        raise ValueError("need at least one run trace")
+    if len({len(trace.records) for trace in traces}) > 1:
+        raise ValueError("runs have differing round counts")
+    return np.array([trace.costs for trace in traces]) - f_star
 
 
 def mc_variance_trace(costs: np.ndarray) -> np.ndarray:
@@ -81,6 +75,8 @@ def bound_initial_term(f0: float, f_star: float, params: SvrgParams, rounds: int
     """First right-hand-side term: the initial optimality gap shrinking as 1/rounds."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    if params.stepsize <= 0.0:
+        raise ValueError(f"stepsize must be > 0 to evaluate the bound, got {params.stepsize}")
     return 2.0 * (f0 - f_star) / (
         params.stepsize * rounds * params.snapshots * params.inner_steps
     )

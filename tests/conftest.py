@@ -1,7 +1,27 @@
+import ctypes
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fedsim.losses import Dataset, generate_regression_dataset
+
+
+def blas_core_name() -> str:
+    """The OpenBLAS kernel numpy's bundled library runs on this CPU, else ``"unknown"``.
+
+    Byte-pinned outputs depend on it: OpenBLAS's dot, gemv and gemm kernels
+    round differently from one CPU family to the next, and
+    ``OPENBLAS_CORETYPE`` selects another kernel for one process.
+    """
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 def make_shard(features, labels):

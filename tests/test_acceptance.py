@@ -27,6 +27,7 @@ from fedsim.losses import (
     generate_regression_dataset,
 )
 from fedsim.metrics import bound_initial_term
+from conftest import blas_core_name
 from oracles import central_diff_grad, enumerate_aggregate_mean
 
 LAST_ROUNDS = 20
@@ -237,7 +238,8 @@ def test_outputs_match_pinned_digests(case, request):
     actual = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
     assert actual == pinned["sha256"][result.config.name], (
         f"{result.config.name}: outputs differ from the digests pinned with numpy "
-        f"{pinned['numpy']} and {pinned['blas']}; this is numpy {np.__version__}"
+        f"{pinned['numpy']} and {pinned['blas']}; this is numpy {np.__version__} "
+        f"on the OpenBLAS kernel {blas_core_name()}"
     )
 
 

@@ -1,6 +1,9 @@
 import copy
 import json
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ from fedsim.federation import (
     RunConfig,
     SgdParams,
     TrainingError,
+    _plan_rounds,
     aggregate,
     run_round,
     run_training,
@@ -27,6 +31,7 @@ from fedsim.losses import (
     global_grad,
     smoothness_constant,
 )
+from conftest import blas_core_name
 from oracles import enumerate_aggregate_mean, interleaved_run_training
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_trace.json"
@@ -209,7 +214,8 @@ class TestRunRound:
         rec = trace.records[0]
         assert rec.n_active == 2
         # run_training keeps no local traces; the round replayed on its own has them.
-        direct = run_round(LossKind.QUADRATIC, dataset, cfg, trace.theta0, round_index=0)
+        (plan,) = _plan_rounds(cfg, dataset.n_agents, 0)
+        direct = run_round(LossKind.QUADRATIC, dataset, cfg, trace.theta0, 0, 0, plan)
         assert direct.theta.tobytes() == rec.theta.tobytes()
         assert set(direct.local_traces) == set(np.flatnonzero(rec.indicators))
         rebuilt = np.zeros(2)
@@ -233,7 +239,8 @@ class TestRunRound:
             batch_size=15,
         )
         theta_k = np.array([0.25, -0.5])
-        rec = run_round(LossKind.QUADRATIC, dataset, cfg, theta_k, round_index=0)
+        (plan,) = _plan_rounds(cfg, dataset.n_agents, 0)
+        rec = run_round(LossKind.QUADRATIC, dataset, cfg, theta_k, 0, 0, plan)
         assert rec.n_active == 15
         expected = theta_k.copy()
         for n in sorted(rec.local_traces):
@@ -254,11 +261,18 @@ class TestRunRound:
 
 
 class TestRunTraining:
-    def test_zero_rounds_returns_empty_records(self):
+    @pytest.mark.parametrize("rounds", [0, -1])
+    def test_zero_rounds_are_rejected(self, rounds):
+        # A run has at least one round, as a config's ``rounds`` must be.
+        with pytest.raises(ValueError, match="rounds must be >= 1"):
+            svrg_config(ParticipationSchedule(1.0), rounds=rounds)
+
+    def test_one_round_run(self):
         dataset, _ = small_dataset()
-        cfg = svrg_config(ParticipationSchedule(1.0), rounds=0)
+        cfg = svrg_config(ParticipationSchedule(1.0), rounds=1)
         trace = run_training(LossKind.QUADRATIC, dataset, cfg)
-        assert trace.records == []
+        assert len(trace.records) == 1
+        assert trace.final_theta is trace.records[0].theta
         assert trace.initial_cost == global_cost(LossKind.QUADRATIC, dataset, np.zeros(2))
 
     def test_same_seed_is_bit_identical(self):
@@ -384,7 +398,7 @@ class TestRunConfigValidation:
 
 class TestRoundPlanning:
     """run_training draws every round's participation and gradient seeds
-    before its first round; a direct run_round call plans its own round."""
+    before its first round; run_round replays one round of that plan."""
 
     PROBS = [0.2, 0.5, 0.9, 0.35, 0.6]
 
@@ -413,15 +427,17 @@ class TestRoundPlanning:
             assert rec.local_traces[n].v_sq_norms.tobytes() == local.v_sq_norms.tobytes()
 
     def check_run(self, dataset, cfg, run_index):
-        """Each round of run_training equals a direct run_round and the
-        oracle; an SVRG run's norms rows are the direct rounds' local norms."""
+        """Each round of run_training equals a direct run_round of its plan
+        and the oracle; an SVRG run's norms rows are the direct rounds'
+        local norms."""
         trace = run_training(LossKind.QUADRATIC, dataset, cfg, run_index=run_index)
         reference = interleaved_run_training(LossKind.QUADRATIC, dataset, cfg, run_index)
-        assert len(reference) == len(trace.records)
+        plans = _plan_rounds(cfg, dataset.n_agents, run_index)
+        assert len(reference) == len(plans) == len(trace.records) == cfg.rounds
         theta_k = trace.theta0
         rows = []
         for k, (rec, (indicators, theta, traces)) in enumerate(zip(trace.records, reference)):
-            direct = run_round(LossKind.QUADRATIC, dataset, cfg, theta_k, k, run_index=run_index)
+            direct = run_round(LossKind.QUADRATIC, dataset, cfg, theta_k, k, run_index, plans[k])
             self.assert_round_equal(direct, indicators, theta, traces)
             self.assert_round_equal(rec, direct.indicators, direct.theta, {})
             assert direct.cost == rec.cost
@@ -511,6 +527,18 @@ class TestRunPayload:
 
 
 class TestGoldenTrace:
+    def test_blas_core_name_follows_the_forced_kernel(self):
+        # The name the replay's failure message reports must be the kernel
+        # that ran; OPENBLAS_CORETYPE forces one for a single process.
+        if blas_core_name() == "unknown":
+            pytest.skip("numpy's bundled OpenBLAS is not found")
+        code = (f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+                "from conftest import blas_core_name; print(blas_core_name())")
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell"}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "Haswell"
+
     def test_tiny_run_replays_exactly(self):
         golden = json.loads(GOLDEN_PATH.read_text())
         dataset, _ = small_dataset(
@@ -528,11 +556,26 @@ class TestGoldenTrace:
             dim=golden["dimension"],
         )
         trace = run_training(LossKind.QUADRATIC, dataset, cfg)
-        assert trace.initial_cost == golden["initial_cost"]
-        assert trace.initial_grad_norm_sq == golden["initial_grad_norm_sq"]
-        assert len(trace.records) == len(golden["rounds_data"])
+        # The bits follow the BLAS kernel, so a failure names the one that ran.
+        why = f"golden trace differs on the OpenBLAS kernel {blas_core_name()}"
+        assert trace.initial_cost == golden["initial_cost"], why
+        assert trace.initial_grad_norm_sq == golden["initial_grad_norm_sq"], why
+        assert len(trace.records) == len(golden["rounds_data"]), why
         for rec, expected in zip(trace.records, golden["rounds_data"]):
-            assert rec.cost == expected["cost"]
-            assert rec.grad_norm_sq == expected["grad_norm_sq"]
-            assert list(rec.theta) == expected["theta"]
-            assert [bool(b) for b in rec.indicators] == expected["indicators"]
+            where = f"round {rec.round_index}: {why}"
+            assert rec.cost == expected["cost"], where
+            assert rec.grad_norm_sq == expected["grad_norm_sq"], where
+            assert list(rec.theta) == expected["theta"], where
+            assert [bool(b) for b in rec.indicators] == expected["indicators"], where
+
+
+class TestReadmeLibrary:
+    def test_library_example_runs(self):
+        # README's "Library" block uses only the public API, so a renamed or
+        # removed export fails here rather than in a reader's session.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = {"__name__": "readme_library"}
+        exec(compile(code, "README.md#Library", "exec"), namespace)
+        assert len(namespace["trace"].records) == namespace["cfg"].rounds

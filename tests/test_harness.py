@@ -1,4 +1,5 @@
 import concurrent.futures
+import copy
 import json
 import os
 import subprocess
@@ -123,6 +124,27 @@ class TestRunExperiment:
         for a, b in zip(res_solo.traces["fedavg_svrg"], res_both.traces["fedavg_svrg"]):
             for rec_a, rec_b in zip(a.records, b.records):
                 assert np.array_equal(rec_a.theta, rec_b.theta)
+
+    def test_each_entry_alone_writes_the_same_bytes(self, tmp_path):
+        # An entry's streams are keyed by its name and its runs, not by the
+        # other entries, so running it alone from the same resolved document
+        # writes its trace CSV and summary entry byte for byte.
+        doc = copy.deepcopy(fedsim.config.load_builtin_config("paper_case1").to_dict())
+        doc["runs"] = 3
+        for alg in doc["algorithms"]:
+            alg["rounds"] = 20
+        run_experiment(parse_config(doc), output_dir=tmp_path / "all")
+        together = json.loads((tmp_path / "all" / "summary.json").read_text())["algorithms"]
+        assert len(together) == 3
+        for alg in doc["algorithms"]:
+            name = alg["name"]
+            alone_dir = tmp_path / name
+            run_experiment(parse_config({**doc, "algorithms": [alg]}), output_dir=alone_dir)
+            csv = f"trace_{name}.csv"
+            assert (alone_dir / csv).read_bytes() == (tmp_path / "all" / csv).read_bytes()
+            alone = json.loads((alone_dir / "summary.json").read_text())["algorithms"]
+            assert list(alone) == [name]
+            assert json.dumps(alone[name], indent=2) == json.dumps(together[name], indent=2)
 
     def test_summary_schema(self, tmp_path):
         cfg = parse_config(experiment_doc())

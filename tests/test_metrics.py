@@ -10,6 +10,7 @@ from fedsim.federation import (
     RunConfig,
     RunTrace,
     SgdParams,
+    _plan_rounds,
     run_round,
     run_training,
 )
@@ -151,6 +152,13 @@ class TestCostErrorTrace:
         errors = cost_error_trace(traces, 0.25)
         assert np.allclose(errors[0], traces[0].costs - 0.25, atol=1e-16)
 
+    def test_rejects_no_traces_and_ragged_rounds(self, rng):
+        with pytest.raises(ValueError, match="at least one run trace"):
+            cost_error_trace([], 0.0)
+        ragged = synthetic_traces(rng, runs=1, rounds=3) + synthetic_traces(rng, runs=1, rounds=4)
+        with pytest.raises(ValueError, match="differing round counts"):
+            cost_error_trace(ragged, 0.0)
+
     def test_matches_recomputed_costs(self):
         dataset, _, traces, _ = tiny_experiment()
         _, f_star = least_squares_oracle(dataset)
@@ -224,6 +232,15 @@ class TestBoundCheck:
         )
         assert abs(ratio - 2.0) <= 1e-9
 
+    def test_zero_stepsize_is_rejected_by_name(self):
+        # SvrgParams permits a zero stepsize, but the initial term divides by it.
+        params = SvrgParams(2, 3, 0.0)
+        with pytest.raises(ValueError, match=r"stepsize must be > 0 .*got 0\.0"):
+            bound_initial_term(14.0, 1.0, params, 50)
+        _, _, traces, probs = tiny_experiment(snapshots=2, inner_steps=3, stepsize=0.0)
+        with pytest.raises(ValueError, match=r"stepsize must be > 0 .*got 0\.0"):
+            theorem_bound_check(traces, 4.0, 2.0, 1.0, params, probs)
+
     def test_drift_term_vanishes_without_inner_history(self):
         for snapshots, inner_steps in ((1, 3), (3, 1)):
             _, cfg, traces, probs = tiny_experiment(
@@ -259,8 +276,8 @@ class TestBoundCheck:
         for r, trace in enumerate(traces):
             records = []
             theta_k = trace.theta0
-            for k in range(cfg.rounds):
-                records.append(run_round(LossKind.QUADRATIC, dataset, cfg, theta_k, k, run_index=r))
+            for k, plan in enumerate(_plan_rounds(cfg, dataset.n_agents, r)):
+                records.append(run_round(LossKind.QUADRATIC, dataset, cfg, theta_k, k, r, plan))
                 theta_k = records[-1].theta
             replayed.append(RunTrace(trace.theta0, trace.initial_cost,
                                      trace.initial_grad_norm_sq, records))

@@ -28,21 +28,11 @@ from .federation import (
     run_training,
     sample_participation,
 )
-from .local_update import (
-    DivergenceError,
-    LocalTrace,
-    SvrgParams,
-    sgd_local_update,
-    svrg_local_update,
-    variance_reduced_grad,
-)
+from .local_update import DivergenceError, SvrgParams
 from .losses import (
     Dataset,
     LossKind,
     SingularSystemError,
-    agent_full_grad,
-    component_grad,
-    component_loss,
     generate_regression_dataset,
     global_cost,
     global_grad,

@@ -47,9 +47,12 @@ def _load(spec: str) -> ExperimentConfig:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # not an integer: rejected below with the same message
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return value
 
 

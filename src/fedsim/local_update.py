@@ -4,7 +4,9 @@ Two solvers are provided: an anchored variance-reduced scheme that refreshes
 a full local gradient at periodic snapshot points, and a plain stochastic
 gradient baseline. Both return the parameter displacement together with the
 squared norm of every stochastic direction taken, which downstream bound
-evaluation consumes.
+evaluation consumes. Neither checks its arguments: ``run_round`` is their
+caller, and ``Dataset``, ``run_training``, ``SvrgParams`` and ``SgdParams``
+have checked every value it passes.
 """
 
 from __future__ import annotations
@@ -77,8 +79,6 @@ def variance_reduced_grad(
     contract the estimator is unbiased for the full gradient at ``w`` when
     ``sample`` is uniform over the shard.
     """
-    if mu_tilde.shape != w.shape:
-        raise ValueError(f"mu_tilde has shape {mu_tilde.shape}, expected {w.shape}")
     return (
         component_grad(kind, shard, sample, w)
         - component_grad(kind, shard, sample, w_tilde)
@@ -139,10 +139,6 @@ def sgd_local_update(
     The per-round stepsize schedule is resolved by the caller; this routine
     only consumes the already-resolved value.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if not (math.isfinite(stepsize) and stepsize >= 0.0):
-        raise ValueError("stepsize must be finite and >= 0")
     v_sq = np.zeros((1, steps))
     v_sq_row = v_sq[0]
     w = np.array(theta_k, dtype=float)

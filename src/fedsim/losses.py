@@ -15,6 +15,11 @@ derivative in ``m`` as ``scale * residual(m, y)`` (the gradient is that times
 function branches on the family. Everything in this module is a pure
 function of its inputs; the only stateful object is the caller-supplied
 random generator used for data synthesis.
+
+``Dataset`` checks the samples and ``global_cost``/``global_grad`` check
+theta's shape. The per-shard kernels (``component_loss``,
+``component_grad``, ``agent_full_grad``) check nothing: their callers pass
+a ``Dataset`` shard, a theta of its dimension and an index drawn in range.
 """
 
 from __future__ import annotations
@@ -55,10 +60,6 @@ class AgentShard(Frozen):
     def n_samples(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
 
 class Dataset(Frozen):
     """Agent-partitioned samples, stored once and stacked over agents.
@@ -67,8 +68,8 @@ class Dataset(Frozen):
     labels   : (n_agents, n_samples) array of targets
 
     Both are kept as C-contiguous float64 arrays, without a copy when they
-    already are. They are checked once, here: at least one agent and one
-    sample, and finite entries. Every shard in ``shards`` is an
+    already are. They are checked once, here: at least one agent, sample
+    and feature, and finite entries. Every shard in ``shards`` is an
     ``AgentShard`` view into the stack, so every agent holds the same number
     of samples and the same dimension.
     """
@@ -89,6 +90,8 @@ class Dataset(Frozen):
             raise ValueError("dataset must contain at least one agent")
         if features.shape[1] < 1:
             raise ValueError("each agent must hold at least one sample")
+        if features.shape[2] < 1:
+            raise ValueError("each sample must have at least one feature")
         if not (np.isfinite(features).all() and np.isfinite(labels).all()):
             raise ValueError("dataset entries must be finite")
         shards = tuple(AgentShard(f, y) for f, y in zip(features, labels))
@@ -110,15 +113,6 @@ class Dataset(Frozen):
 def _check_theta(dim: int, theta: np.ndarray) -> None:
     if theta.shape != (dim,):
         raise ValueError(f"theta has shape {theta.shape}, expected ({dim},)")
-
-
-def _sample(shard: AgentShard, i: int, theta: np.ndarray) -> tuple[np.ndarray, float]:
-    features = shard.features
-    n_samples, dim = features.shape
-    if not 0 <= i < n_samples:
-        raise ValueError(f"sample index {i} out of range [0, {n_samples})")
-    _check_theta(dim, theta)
-    return features[i], float(shard.labels[i])
 
 
 def _sigmoid(z):
@@ -161,8 +155,7 @@ def component_loss(kind: LossKind, shard: AgentShard, i: int, theta: np.ndarray)
 
     Quadratic: (label - row.theta)^2. Logistic: log(1 + exp(-label * row.theta)).
     """
-    row, label = _sample(shard, i, theta)
-    return float(_LOSSES[kind].loss(float(row @ theta), label))
+    return float(_LOSSES[kind].loss(float(shard.features[i] @ theta), float(shard.labels[i])))
 
 
 def component_grad(kind: LossKind, shard: AgentShard, i: int, theta: np.ndarray) -> np.ndarray:
@@ -170,15 +163,14 @@ def component_grad(kind: LossKind, shard: AgentShard, i: int, theta: np.ndarray)
 
     Quadratic: 2 * row * (row.theta - label). Logistic: -label * sigmoid(-label * row.theta) * row.
     """
-    row, label = _sample(shard, i, theta)
+    row = shard.features[i]
     loss = _LOSSES[kind]
     # row.dot(theta) equals row @ theta bit for bit and skips matmul's dispatch.
-    return loss.scale * loss.residual(float(row.dot(theta)), label) * row
+    return loss.scale * loss.residual(float(row.dot(theta)), float(shard.labels[i])) * row
 
 
 def agent_full_grad(kind: LossKind, shard: AgentShard, theta: np.ndarray) -> np.ndarray:
     """Mean of all per-sample gradients of one shard, in ascending sample order."""
-    _check_theta(shard.dim, theta)
     loss = _LOSSES[kind]
     features = shard.features
     residuals = loss.residual(features @ theta, shard.labels)

@@ -7,6 +7,8 @@ criteria that consume them.
 
 import hashlib
 import json
+import math
+import os
 import subprocess
 import sys
 import time
@@ -241,6 +243,57 @@ def test_outputs_match_pinned_digests(case, request):
         f"{pinned['numpy']} and {pinned['blas']}; this is numpy {np.__version__} "
         f"on the OpenBLAS kernel {blas_core_name()}"
     )
+
+
+# Relative agreement of every summary.json number across OpenBLAS kernels.
+# Measured on an AVX-512 host (native kernel SkylakeX) against Haswell,
+# Sandybridge, Nehalem and Prescott, one per class of distinct bytes: at most
+# 1.6e-13 on this test's config and 3.1e-13 on paper_case2 (at 1e126 values).
+KERNEL_REL_TOL = 1e-11
+
+
+def summary_leaves(doc, path=""):
+    """Every leaf of a summary.json document, keyed by its path."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return {path: doc}
+    return {k: v for key, value in items for k, v in summary_leaves(value, f"{path}/{key}").items()}
+
+
+def test_summary_agrees_across_openblas_kernels(tmp_path):
+    # The pinned bytes hold on one kernel only, since OpenBLAS's dot, gemv and
+    # gemm round differently per CPU family; the numbers must still agree.
+    native = blas_core_name()
+    if native == "unknown":
+        pytest.skip("numpy's bundled OpenBLAS is not found")
+    other = "Prescott" if native == "Haswell" else "Haswell"
+    doc = load_builtin_config("paper_case1").to_dict()
+    doc["runs"] = 4
+    for algorithm in doc["algorithms"]:
+        algorithm["rounds"] = 30
+    path = tmp_path / "kernels.json"
+    path.write_text(json.dumps(doc))
+    summaries = {}
+    for kernel, extra_env in ((native, {}), (other, {"OPENBLAS_CORETYPE": other})):
+        out = tmp_path / kernel
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedsim", "run", str(path), "--output-dir", str(out)],
+            capture_output=True, text=True, env={**os.environ, **extra_env},
+        )
+        assert proc.returncode == 0, proc.stderr
+        summaries[kernel] = summary_leaves(json.loads((out / "summary.json").read_text()))
+    expected, actual = summaries[native], summaries[other]
+    assert actual.keys() == expected.keys()
+    for key, value in expected.items():
+        if isinstance(value, float):
+            assert math.isclose(actual[key], value, rel_tol=KERNEL_REL_TOL, abs_tol=0.0), (
+                f"{key}: {actual[key]!r} on {other}, {value!r} on {native}"
+            )
+        else:
+            assert actual[key] == value, key
 
 
 def test_criterion_10_gradient_correctness():

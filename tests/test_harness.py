@@ -399,13 +399,13 @@ class TestCli:
         assert (out / "config_resolved.json").exists()
         assert (out / "trace_fedavg_svrg.csv").exists()
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize("workers", ["0", "-3", "abc"])
     def test_run_rejects_fewer_than_one_worker(self, tmp_path, workers):
         out = tmp_path / "out"
         proc = run_cli(["run", "paper_case1", "--workers", workers, "--output-dir", str(out)])
         assert proc.returncode == 2
         assert proc.stderr.startswith("usage: fedsim run")
-        assert "--workers: must be >= 1" in proc.stderr
+        assert f"--workers: must be an integer >= 1, got {workers!r}" in proc.stderr
         assert not out.exists()
 
     def test_run_master_seed_override_changes_results(self, tmp_path):

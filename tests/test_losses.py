@@ -58,6 +58,10 @@ class TestDatasetStack:
         with pytest.raises(ValueError, match="at least one sample"):
             Dataset(np.ones((3, 0, 2)), np.ones((3, 0)))
 
+    def test_rejects_zero_dimension(self):
+        with pytest.raises(ValueError, match="at least one feature"):
+            Dataset(np.ones((2, 3, 0)), np.zeros((2, 3)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["features", "labels"])
     @pytest.mark.parametrize("agent", [0, 2, -1], ids=["first", "middle", "last"])
@@ -79,7 +83,7 @@ class TestDatasetStack:
             assert array.dtype == np.float64 and array.flags.c_contiguous
         assert np.array_equal(dataset.features, features)
         assert (dataset.n_agents, dataset.dimension) == (2, 3)
-        assert all(shard.n_samples == 4 and shard.dim == 3 for shard in dataset.shards)
+        assert all(shard.n_samples == 4 and shard.features.shape == (4, 3) for shard in dataset.shards)
 
     def test_shards_are_views_into_the_stack(self, rng):
         built = random_dataset(rng, n_agents=3, n_samples=4, dim=2)
@@ -169,18 +173,6 @@ class TestComponentLoss:
         shard = single_sample_shard([1.0, -2.0], 1.0)
         value = component_loss(LossKind.LOGISTIC, shard, 0, np.zeros(2))
         assert value == pytest.approx(math.log(2.0), abs=1e-12)
-
-    def test_index_out_of_range(self):
-        shard = single_sample_shard([1.0, 0.0], 2.0)
-        with pytest.raises(ValueError):
-            component_loss(LossKind.QUADRATIC, shard, 1, np.zeros(2))
-        with pytest.raises(ValueError):
-            component_loss(LossKind.QUADRATIC, shard, -1, np.zeros(2))
-
-    def test_dimension_mismatch(self):
-        shard = single_sample_shard([1.0, 0.0], 2.0)
-        with pytest.raises(ValueError):
-            component_loss(LossKind.QUADRATIC, shard, 0, np.zeros(3))
 
 
 class TestComponentGrad:

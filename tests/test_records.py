@@ -6,6 +6,7 @@ import pickle
 import pkgutil
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from fedsim import (
     DataConfig,
     Dataset,
     DivergenceError,
-    LocalTrace,
     McSummary,
     ParticipationSchedule,
     RoundRecord,
@@ -30,7 +30,29 @@ from fedsim import (
     load_builtin_config,
     run_training,
 )
+from fedsim.local_update import LocalTrace
 from fedsim.losses import LossKind
+
+PUBLIC_NAMES = [
+    "Algorithm", "BoundCheck", "ConfigError", "DataConfig", "Dataset", "DivergenceError",
+    "ExperimentConfig", "ExperimentResult", "LossKind", "McSummary", "ParticipationSchedule",
+    "RoundRecord", "RunConfig", "RunTrace", "SgdParams", "SingularSystemError", "SvrgParams",
+    "TrainingError", "aggregate", "bound_initial_term", "build_dataset", "cep_radius",
+    "cep_radius_2d", "cost_error_trace", "generate_regression_dataset", "global_cost",
+    "global_grad", "least_squares_oracle", "load_builtin_config", "load_config",
+    "mc_variance_trace", "mean_sq_grad_norm", "parse_config", "run_experiment",
+    "run_training", "sample_participation", "smoothness_constant", "summarize_runs",
+    "theorem_bound_check",
+]
+
+
+def test_public_surface_is_exactly_the_listed_names():
+    # Adding or removing an export is a deliberate change to this list.
+    exported = sorted(
+        name for name, value in vars(fedsim).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert exported == PUBLIC_NAMES
 
 
 def fedsim_classes():

@@ -17,14 +17,8 @@ import logging
 
 import numpy as np
 
-from .frozen import Frozen
-from .local_update import (
-    DivergenceError,
-    LocalTrace,
-    SvrgParams,
-    sgd_local_update,
-    svrg_local_update,
-)
+from .frozen import Frozen, check_count
+from .local_update import DivergenceError, SvrgParams, sgd_local_update, svrg_local_update
 from .losses import Dataset, LossKind, global_cost, global_grad
 from .seeding import derive_rng, derive_seeds, rng_from_seed
 
@@ -101,8 +95,7 @@ class SgdParams(Frozen):
     """
 
     def __init__(self, steps: int, base_stepsize: float = 0.1, decay: str = "per_round"):
-        if steps < 1:
-            raise ValueError("steps must be >= 1")
+        check_count("steps", steps)
         if not (np.isfinite(base_stepsize) and base_stepsize > 0.0):
             raise ValueError("base_stepsize must be finite and > 0")
         if decay not in ("per_round", "constant"):
@@ -119,20 +112,21 @@ class RoundRecord:
     """State recorded after one training round.
 
     ``theta``, ``cost`` and ``grad_norm_sq`` describe the post-round global
-    parameter; ``local_traces`` maps each active agent to its local trace
-    in a record from ``run_round`` and is empty in one from ``run_training``.
+    parameter. A record keeps no per-agent output: ``local_traces`` is
+    always an empty dict, left only for perfbench's traced repetition, which
+    still reads it.
     """
 
     def __init__(
         self, round_index: int, indicators: np.ndarray, theta: np.ndarray, cost: float,
-        grad_norm_sq: float, local_traces: dict[int, LocalTrace] | None = None,
+        grad_norm_sq: float,
     ):
         self.round_index = round_index
         self.indicators = indicators
         self.theta = theta
         self.cost = cost
         self.grad_norm_sq = grad_norm_sq
-        self.local_traces = {} if local_traces is None else local_traces
+        self.local_traces = {}
 
     @property
     def n_active(self) -> int:
@@ -172,9 +166,10 @@ class RunTrace:
 class RunConfig(Frozen):
     """Everything one training run needs besides the dataset itself.
 
-    A run has at least one round: ``rounds`` must be >= 1, as in a config.
-    The config keeps its own read-only copy of ``theta0``, so no later write
-    to the caller's array reaches a run.
+    A run has at least one round: ``rounds`` must be an integer >= 1, as in a
+    config, and so must ``batch_size`` for the uniform batch. The config
+    keeps its own read-only copy of ``theta0``, so no later write to the
+    caller's array reaches a run.
     """
 
     def __init__(
@@ -184,15 +179,13 @@ class RunConfig(Frozen):
     ):
         theta0 = np.array(theta0, dtype=float)
         theta0.flags.writeable = False
-        if rounds < 1:
-            raise ValueError("rounds must be >= 1")
+        check_count("rounds", rounds)
         if algorithm is Algorithm.FEDAVG_SVRG and svrg is None:
             raise ValueError("fedavg_svrg requires svrg parameters")
         if algorithm is not Algorithm.FEDAVG_SVRG and sgd is None:
             raise ValueError(f"{algorithm.value} requires sgd parameters")
         if algorithm is Algorithm.FEDAVG_UNIFORM_BATCH:
-            if batch_size is None or batch_size < 1:
-                raise ValueError("fedavg_uniform_batch requires batch_size >= 1")
+            check_count("batch_size", batch_size)
         self.__dict__.update(
             name=name, algorithm=algorithm, rounds=rounds, schedule=schedule, theta0=theta0,
             master_seed=master_seed, svrg=svrg, sgd=sgd, batch_size=batch_size,
@@ -293,31 +286,34 @@ def run_round(
     round_index: int,
     run_index: int,
     plan: tuple,
+    v_sq: np.ndarray | None,
 ) -> RoundRecord:
     """Execute one planned round from ``theta_k`` and record the post-round state.
 
     This is ``run_training``'s step. ``plan`` is round ``round_index``'s
     ``(indicators, divisors, seeds)`` from ``_plan_rounds(cfg, n_agents,
     run_index)``. Each active agent consumes its own gradient stream keyed
-    by (algorithm, run, round, agent), and the record's ``local_traces``
-    keep every active agent's local trace.
+    by (algorithm, run, round, agent). A variance-reduced round writes the
+    squared directions of its j-th active agent, in ascending agent order,
+    into ``v_sq[j]``, a (snapshots, inner_steps) array; ``v_sq`` is the
+    round's block of ``RunTrace.v_sq_norms``, and ``None`` for the baselines.
     """
     indicators, divisors, seeds = plan
     svrg = cfg.algorithm is Algorithm.FEDAVG_SVRG
     if not svrg:
         stepsize = cfg.sgd.stepsize_for_round(round_index)
-    traces: dict[int, LocalTrace] = {}
-    for n, seed in zip(np.flatnonzero(indicators).tolist(), seeds, strict=True):
+    deltas = []
+    for j, (n, seed) in enumerate(zip(np.flatnonzero(indicators).tolist(), seeds, strict=True)):
         shard, rng = dataset.shards[n], rng_from_seed(seed)
         try:
             if svrg:
-                traces[n] = svrg_local_update(kind, shard, theta_k, cfg.svrg, rng)
+                deltas.append(svrg_local_update(kind, shard, theta_k, cfg.svrg, rng, v_sq[j]))
             else:
-                traces[n] = sgd_local_update(kind, shard, theta_k, cfg.sgd.steps, stepsize, rng)
+                deltas.append(sgd_local_update(kind, shard, theta_k, cfg.sgd.steps, stepsize, rng))
         except DivergenceError as exc:
             raise TrainingError(cfg.name, run_index, round_index, n, str(exc)) from exc
 
-    theta_next = aggregate(theta_k, [trace.delta_w for trace in traces.values()], divisors)
+    theta_next = aggregate(theta_k, deltas, divisors)
     grad = global_grad(kind, dataset, theta_next)
     return RoundRecord(
         round_index=round_index,
@@ -325,7 +321,6 @@ def run_round(
         theta=theta_next,
         cost=global_cost(kind, dataset, theta_next),
         grad_norm_sq=float(grad @ grad),
-        local_traces=traces,
     )
 
 
@@ -341,8 +336,8 @@ def run_training(
     randomness flows through streams derived from ``cfg.master_seed``, one
     per (run, round) for participation and one per (run, round, agent) for
     gradient sampling. Every round is planned before the first one runs.
-    The returned records carry no local traces; a variance-reduced run
-    keeps its squared directions in ``RunTrace.v_sq_norms``.
+    A variance-reduced run allocates ``RunTrace.v_sq_norms`` once and hands
+    each round its block of rows, which the solvers fill in place.
     """
     theta = cfg.theta0
     if theta.shape != (dataset.dimension,):
@@ -359,17 +354,13 @@ def run_training(
         records=[],
     )
     plans = _plan_rounds(cfg, dataset.n_agents, run_index)
+    blocks = [None] * cfg.rounds
     if cfg.algorithm is Algorithm.FEDAVG_SVRG:
-        activations = sum(len(divisors) for _, divisors, _ in plans)
-        trace.v_sq_norms = np.empty((activations, cfg.svrg.snapshots, cfg.svrg.inner_steps))
-    start = 0
-    for k, plan in enumerate(plans):
-        record = run_round(kind, dataset, cfg, theta, k, run_index, plan)
-        if trace.v_sq_norms is not None:
-            for row, local in enumerate(record.local_traces.values(), start):
-                trace.v_sq_norms[row] = local.v_sq_norms
-            start += len(record.local_traces)
-        record.local_traces = {}
+        ends = np.cumsum([len(divisors) for _, divisors, _ in plans])
+        trace.v_sq_norms = np.empty((ends[-1], cfg.svrg.snapshots, cfg.svrg.inner_steps))
+        blocks = np.split(trace.v_sq_norms, ends[:-1])
+    for k, (plan, v_sq) in enumerate(zip(plans, blocks, strict=True)):
+        record = run_round(kind, dataset, cfg, theta, k, run_index, plan, v_sq)
         trace.records.append(record)
         theta = record.theta
         logger.debug(

@@ -2,11 +2,13 @@
 
 Two solvers are provided: an anchored variance-reduced scheme that refreshes
 a full local gradient at periodic snapshot points, and a plain stochastic
-gradient baseline. Both return the parameter displacement together with the
-squared norm of every stochastic direction taken, which downstream bound
-evaluation consumes. Neither checks its arguments: ``run_round`` is their
-caller, and ``Dataset``, ``run_training``, ``SvrgParams`` and ``SgdParams``
-have checked every value it passes.
+gradient baseline. Both return the parameter displacement, which the server
+folds into the global parameter. The variance-reduced solver also writes the
+squared norm of every stochastic direction it takes into the row of
+``RunTrace.v_sq_norms`` it is given, for the bound statistics; the baseline
+keeps none. Neither checks its arguments: ``run_round`` is their caller, and
+``Dataset``, ``run_training``, ``SvrgParams`` and ``SgdParams`` have checked
+every value it passes.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 
 import numpy as np
 
-from .frozen import Frozen
+from .frozen import Frozen, check_count
 from .losses import AgentShard, LossKind, agent_full_grad, component_grad
 
 
@@ -29,26 +31,11 @@ class SvrgParams(Frozen):
     """
 
     def __init__(self, snapshots: int, inner_steps: int, stepsize: float):
-        if snapshots < 1:
-            raise ValueError("snapshots must be >= 1")
-        if inner_steps < 1:
-            raise ValueError("inner_steps must be >= 1")
+        check_count("snapshots", snapshots)
+        check_count("inner_steps", inner_steps)
         if not (np.isfinite(stepsize) and stepsize >= 0.0):
             raise ValueError("stepsize must be finite and >= 0")
         self.__dict__.update(snapshots=snapshots, inner_steps=inner_steps, stepsize=stepsize)
-
-
-class LocalTrace(Frozen):
-    """Outcome of one agent-local update.
-
-    v_sq_norms : squared norms of the stochastic directions in execution
-                 order; shape (snapshots, inner_steps) for the
-                 variance-reduced solver, (1, steps) for plain SGD
-    delta_w    : final local iterate minus the round's starting point
-    """
-
-    def __init__(self, v_sq_norms: np.ndarray, delta_w: np.ndarray):
-        self.__dict__.update(v_sq_norms=v_sq_norms, delta_w=delta_w)
 
 
 class DivergenceError(RuntimeError):
@@ -92,21 +79,23 @@ def svrg_local_update(
     theta_k: np.ndarray,
     params: SvrgParams,
     rng: np.random.Generator,
-) -> LocalTrace:
-    """Run the full variance-reduced local update starting from ``theta_k``.
+    v_sq: np.ndarray,
+) -> np.ndarray:
+    """Run the full variance-reduced local update from ``theta_k``; return its displacement.
 
     For each snapshot cycle the full shard gradient is computed at the
     current anchor, then ``inner_steps`` anchored stochastic steps are taken
     with samples drawn uniformly with replacement; the anchor then jumps to
-    the last inner iterate. Deterministic given the generator state.
+    the last inner iterate. The squared norm of each direction is written
+    into ``v_sq``, a (snapshots, inner_steps) array, in execution order; on
+    divergence its later entries are left as they were. Deterministic given
+    the generator state.
     """
     stepsize = params.stepsize
-    v_sq = np.zeros((params.snapshots, params.inner_steps))
     # One call draws every index, in the order and with the final generator
     # state that one scalar draw per step would give.
     samples = rng.integers(shard.n_samples, size=v_sq.shape).tolist()
-    w_tilde = np.array(theta_k, dtype=float)
-    w = w_tilde
+    w_tilde = theta_k
     # Overflow on the divergence path is detected below, not warned about.
     # A finite w.w means every entry of w is finite, so the entrywise check
     # runs only once the iterate is huge or already non-finite. ``a.dot(b)``
@@ -123,7 +112,7 @@ def svrg_local_update(
                 if not (math.isfinite(vv) and (math.isfinite(w.dot(w)) or np.isfinite(w).all())):
                     raise DivergenceError(s, m)
             w_tilde = w
-    return LocalTrace(v_sq_norms=v_sq, delta_w=w - theta_k)
+    return w_tilde - theta_k
 
 
 def sgd_local_update(
@@ -133,21 +122,19 @@ def sgd_local_update(
     steps: int,
     stepsize: float,
     rng: np.random.Generator,
-) -> LocalTrace:
-    """Plain stochastic gradient local update with a fixed scalar stepsize.
+) -> np.ndarray:
+    """Plain stochastic gradient local update from ``theta_k``; return its displacement.
 
     The per-round stepsize schedule is resolved by the caller; this routine
-    only consumes the already-resolved value.
+    only consumes the already-resolved value. A direction whose squared norm
+    overflows counts as divergence, as in the variance-reduced solver.
     """
-    v_sq = np.zeros((1, steps))
-    v_sq_row = v_sq[0]
-    w = np.array(theta_k, dtype=float)
+    w = theta_k
     with np.errstate(over="ignore", invalid="ignore"):
         for m, sample in enumerate(rng.integers(shard.n_samples, size=steps).tolist()):
             g = component_grad(kind, shard, sample, w)
             gg = g.dot(g)
-            v_sq_row[m] = gg
             w = w - stepsize * g
             if not (math.isfinite(gg) and (math.isfinite(w.dot(w)) or np.isfinite(w).all())):
                 raise DivergenceError(0, m)
-    return LocalTrace(v_sq_norms=v_sq, delta_w=w - theta_k)
+    return w - theta_k

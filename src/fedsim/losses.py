@@ -17,9 +17,9 @@ function of its inputs; the only stateful object is the caller-supplied
 random generator used for data synthesis.
 
 ``Dataset`` checks the samples and ``global_cost``/``global_grad`` check
-theta's shape. The per-shard kernels (``component_loss``,
-``component_grad``, ``agent_full_grad``) check nothing: their callers pass
-a ``Dataset`` shard, a theta of its dimension and an index drawn in range.
+theta's shape. The per-shard kernels (``component_grad``,
+``agent_full_grad``) check nothing: their callers pass a ``Dataset`` shard,
+a theta of its dimension and an index drawn in range.
 """
 
 from __future__ import annotations
@@ -150,16 +150,8 @@ _LOSSES = {
 }
 
 
-def component_loss(kind: LossKind, shard: AgentShard, i: int, theta: np.ndarray) -> float:
-    """Loss of sample ``i`` at ``theta``.
-
-    Quadratic: (label - row.theta)^2. Logistic: log(1 + exp(-label * row.theta)).
-    """
-    return float(_LOSSES[kind].loss(float(shard.features[i] @ theta), float(shard.labels[i])))
-
-
 def component_grad(kind: LossKind, shard: AgentShard, i: int, theta: np.ndarray) -> np.ndarray:
-    """Gradient of ``component_loss`` with respect to ``theta``.
+    """Gradient of sample ``i``'s loss with respect to ``theta``.
 
     Quadratic: 2 * row * (row.theta - label). Logistic: -label * sigmoid(-label * row.theta) * row.
     """

@@ -11,24 +11,18 @@ from fedsim.federation import (
     PARTICIPATION_LABEL,
     Algorithm,
     TrainingError,
+    _plan_rounds,
     aggregate,
     sample_participation,
 )
 from fedsim.local_update import (
     DivergenceError,
-    LocalTrace,
     sgd_local_update,
     svrg_local_update,
     variance_reduced_grad,
 )
-from fedsim.losses import (
-    Dataset,
-    LossKind,
-    agent_full_grad,
-    component_grad,
-    component_loss,
-)
-from fedsim.seeding import derive_rng
+from fedsim.losses import Dataset, LossKind, agent_full_grad, component_grad
+from fedsim.seeding import derive_rng, rng_from_seed
 
 
 def sliced_regression_dataset(n_agents, samples_per_agent, dimension, noise_std, rng):
@@ -47,6 +41,18 @@ def sliced_regression_dataset(n_agents, samples_per_agent, dimension, noise_std,
         np.stack([labels[block] for block in blocks]),
     )
     return stacked, theta_true
+
+
+def component_loss(kind, shard, i, theta):
+    """Loss of sample ``i`` at ``theta``, from its definition.
+
+    Quadratic: (label - row.theta)^2. Logistic: log(1 + exp(-label * row.theta)).
+    """
+    margin = float(shard.features[i] @ theta)
+    label = float(shard.labels[i])
+    if kind is LossKind.QUADRATIC:
+        return (label - margin) ** 2
+    return float(np.logaddexp(0.0, -label * margin))
 
 
 def central_diff_grad(kind, shard, i, theta, step=1e-6):
@@ -129,10 +135,13 @@ def loop_smoothness(kind, dataset):
     return worst / 4.0
 
 
-def loop_svrg_local_update(kind, shard, theta_k, params, rng):
-    """The variance-reduced solver as one scalar index draw per step."""
+def loop_svrg_local_update(kind, shard, theta_k, params, rng, v_sq):
+    """The variance-reduced solver as one scalar index draw per step.
+
+    Writes each squared direction norm into ``v_sq[s, m]`` and returns the
+    displacement, as ``svrg_local_update`` does.
+    """
     n = shard.n_samples
-    v_sq = np.zeros((params.snapshots, params.inner_steps))
     w_tilde = np.array(theta_k, dtype=float)
     w = w_tilde
     # Overflow on the divergence path is detected below, not warned about.
@@ -148,23 +157,60 @@ def loop_svrg_local_update(kind, shard, theta_k, params, rng):
                 if not (np.isfinite(v_sq[s, m]) and np.isfinite(w).all()):
                     raise DivergenceError(s, m)
             w_tilde = w
-    return LocalTrace(v_sq_norms=v_sq, delta_w=w - theta_k)
+    return w - theta_k
 
 
 def loop_sgd_local_update(kind, shard, theta_k, steps, stepsize, rng):
-    """Plain SGD as one scalar index draw per step, with entrywise finiteness checks."""
+    """Plain SGD as one scalar index draw per step, with entrywise finiteness checks.
+
+    Returns the displacement; a direction whose squared norm overflows
+    counts as divergence.
+    """
     n = shard.n_samples
-    v_sq = np.zeros((1, steps))
     w = np.array(theta_k, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(steps):
             sample = int(rng.integers(n))
             g = component_grad(kind, shard, sample, w)
-            v_sq[0, m] = float(g @ g)
+            g_sq = float(g @ g)
             w = w - stepsize * g
-            if not (np.isfinite(v_sq[0, m]) and np.isfinite(w).all()):
+            if not (np.isfinite(g_sq) and np.isfinite(w).all()):
                 raise DivergenceError(0, m)
-    return LocalTrace(v_sq_norms=v_sq, delta_w=w - theta_k)
+    return w - theta_k
+
+
+def svrg_outputs(solver, kind, shard, theta_k, params, rng, fill=np.nan):
+    """``(delta_w, v_sq)`` of a variance-reduced ``solver`` call.
+
+    The solver writes its direction norms into a fresh (snapshots,
+    inner_steps) array of ``fill``, so an entry it never writes shows.
+    """
+    v_sq = np.full((params.snapshots, params.inner_steps), fill)
+    return solver(kind, shard, theta_k, params, rng, v_sq), v_sq
+
+
+def activation_outputs(kind, cfg, shard, theta, round_index, rng):
+    """One activation of ``cfg``'s algorithm through the library's solver:
+    ``(delta_w, v_sq)``, with ``v_sq`` ``None`` for the baselines."""
+    if cfg.algorithm is Algorithm.FEDAVG_SVRG:
+        return svrg_outputs(svrg_local_update, kind, shard, theta, cfg.svrg, rng)
+    stepsize = cfg.sgd.stepsize_for_round(round_index)
+    return sgd_local_update(kind, shard, theta, cfg.sgd.steps, stepsize, rng), None
+
+
+def direct_activations(kind, dataset, cfg, run_index, thetas):
+    """Every activation of one run as a direct solver call with its planned seed.
+
+    Round k starts from ``thetas[k]``. Returns ``{(round, agent): (delta_w,
+    v_sq)}`` in (round, ascending agent) order, as ``activation_outputs``.
+    """
+    outputs = {}
+    for k, (indicators, _, seeds) in enumerate(_plan_rounds(cfg, dataset.n_agents, run_index)):
+        for n, seed in zip(np.flatnonzero(indicators).tolist(), seeds, strict=True):
+            outputs[k, n] = activation_outputs(
+                kind, cfg, dataset.shards[n], thetas[k], k, rng_from_seed(seed)
+            )
+    return outputs
 
 
 def enumerate_aggregate_mean(theta_k, deltas, probs, aggregate_fn):
@@ -197,7 +243,8 @@ def interleaved_run_training(kind, dataset, cfg, run_index=0):
     """Rounds derived one at a time: each round draws its participation when
     it starts, and each activation builds its own stream with ``derive_rng``.
 
-    Returns ``(indicators, theta, local_traces)`` per round; raises
+    Returns ``(indicators, theta, outputs)`` per round, where ``outputs``
+    maps each active agent to its ``activation_outputs``; raises
     ``TrainingError`` at the first diverging activation.
     """
     n_agents = dataset.n_agents
@@ -214,49 +261,41 @@ def interleaved_run_training(kind, dataset, cfg, run_index=0):
             probs = cfg.schedule.rows(k + 1, n_agents)[k]
             indicators = sample_participation(probs, part_rng)
             divisors = probs[indicators] * n_agents
-        traces = {}
+        outputs = {}
         for n in np.flatnonzero(indicators).tolist():
             rng = derive_rng(cfg.master_seed, f"{GRADIENT_LABEL}/{cfg.name}", run_index, k, n)
-            shard = dataset.shards[n]
             try:
-                if cfg.algorithm is Algorithm.FEDAVG_SVRG:
-                    traces[n] = svrg_local_update(kind, shard, theta, cfg.svrg, rng)
-                else:
-                    stepsize = cfg.sgd.stepsize_for_round(k)
-                    traces[n] = sgd_local_update(kind, shard, theta, cfg.sgd.steps, stepsize, rng)
+                outputs[n] = activation_outputs(kind, cfg, dataset.shards[n], theta, k, rng)
             except DivergenceError as exc:
                 raise TrainingError(cfg.name, run_index, k, n, str(exc)) from exc
-        theta = aggregate(theta, [t.delta_w for t in traces.values()], divisors)
-        rounds.append((indicators, theta, traces))
+        theta = aggregate(theta, [delta for delta, _ in outputs.values()], divisors)
+        rounds.append((indicators, theta, outputs))
     return rounds
 
 
-def per_activation_estimate_v_sq(traces, rounds, n_agents, params):
-    """The bound statistics as one addition per activation, read from the
-    ``local_traces`` of every round record and validated activation by
-    activation: ``(E||v||^2 per (round, agent, snapshot, step), imputed)``.
-    Never-observed cells take the across-agent mean of their round, or zero.
+def per_activation_estimate_v_sq(runs, rounds, n_agents, params):
+    """The bound statistics as one addition per activation, validated
+    activation by activation: ``(E||v||^2 per (round, agent, snapshot,
+    step), imputed)``. ``runs`` holds one ``{(round, agent): v_sq}`` mapping
+    per run. Never-observed cells take the across-agent mean of their round,
+    or zero.
     """
     shape = (params.snapshots, params.inner_steps)
     sums = np.zeros((rounds, n_agents) + shape)
     counts = np.zeros((rounds, n_agents))
-    for trace in traces:
-        if len(trace.records) != rounds:
-            raise ValueError(f"trace has {len(trace.records)} rounds, expected {rounds}")
-        for rec in trace.records:
-            if len(rec.indicators) != n_agents:
+    for cells in runs:
+        for (k, agent), v_sq in cells.items():
+            if not (0 <= k < rounds and 0 <= agent < n_agents):
                 raise ValueError(
-                    f"round {rec.round_index} covers {len(rec.indicators)} agents, "
-                    f"expected {n_agents}"
+                    f"activation ({k}, {agent}) outside {rounds} rounds x {n_agents} agents"
                 )
-            for agent, local in rec.local_traces.items():
-                if local.v_sq_norms.shape != shape:
-                    raise ValueError(
-                        f"local trace shape {local.v_sq_norms.shape} does not match "
-                        f"snapshots x inner_steps {shape}"
-                    )
-                sums[rec.round_index, agent] += local.v_sq_norms
-                counts[rec.round_index, agent] += 1
+            if v_sq.shape != shape:
+                raise ValueError(
+                    f"direction norms of shape {v_sq.shape} do not match "
+                    f"snapshots x inner_steps {shape}"
+                )
+            sums[k, agent] += v_sq
+            counts[k, agent] += 1
 
     est = np.zeros_like(sums)
     observed = counts > 0

@@ -2,6 +2,7 @@ import copy
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,7 +33,7 @@ from fedsim.losses import (
     smoothness_constant,
 )
 from conftest import blas_core_name
-from oracles import enumerate_aggregate_mean, interleaved_run_training
+from oracles import direct_activations, enumerate_aggregate_mean, interleaved_run_training
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_trace.json"
 
@@ -40,6 +41,14 @@ GOLDEN_PATH = Path(__file__).parent / "data" / "golden_trace.json"
 def small_dataset(noise=1.0, seed=99, n_agents=2, n_samples=6, dim=2):
     gen = np.random.default_rng(seed)
     return generate_regression_dataset(n_agents, n_samples, dim, noise, gen)
+
+
+def norms_block(cfg, plan):
+    """The rows of ``RunTrace.v_sq_norms`` that ``run_round`` fills for ``plan``'s
+    active agents, NaN until written; ``None`` for the baselines."""
+    if cfg.algorithm is not Algorithm.FEDAVG_SVRG:
+        return None
+    return np.full((len(plan[1]), cfg.svrg.snapshots, cfg.svrg.inner_steps), np.nan)
 
 
 def svrg_config(schedule, rounds=3, snapshots=2, inner_steps=2, stepsize=0.05,
@@ -213,14 +222,14 @@ class TestRunRound:
         trace = run_training(LossKind.QUADRATIC, dataset, cfg)
         rec = trace.records[0]
         assert rec.n_active == 2
-        # run_training keeps no local traces; the round replayed on its own has them.
         (plan,) = _plan_rounds(cfg, dataset.n_agents, 0)
-        direct = run_round(LossKind.QUADRATIC, dataset, cfg, trace.theta0, 0, 0, plan)
+        direct = run_round(LossKind.QUADRATIC, dataset, cfg, trace.theta0, 0, 0, plan, None)
         assert direct.theta.tobytes() == rec.theta.tobytes()
-        assert set(direct.local_traces) == set(np.flatnonzero(rec.indicators))
+        outputs = direct_activations(LossKind.QUADRATIC, dataset, cfg, 0, [trace.theta0])
+        assert [n for _, n in outputs] == np.flatnonzero(rec.indicators).tolist()
         rebuilt = np.zeros(2)
-        for local in direct.local_traces.values():
-            rebuilt = rebuilt + local.delta_w / 2
+        for delta_w, _ in outputs.values():
+            rebuilt = rebuilt + delta_w / 2
         assert np.allclose(rec.theta, rebuilt, atol=1e-14)
 
     def test_uniform_batch_divides_by_batch_size_exactly(self):
@@ -240,11 +249,12 @@ class TestRunRound:
         )
         theta_k = np.array([0.25, -0.5])
         (plan,) = _plan_rounds(cfg, dataset.n_agents, 0)
-        rec = run_round(LossKind.QUADRATIC, dataset, cfg, theta_k, 0, 0, plan)
+        rec = run_round(LossKind.QUADRATIC, dataset, cfg, theta_k, 0, 0, plan, None)
         assert rec.n_active == 15
         expected = theta_k.copy()
-        for n in sorted(rec.local_traces):
-            expected += rec.local_traces[n].delta_w / 15
+        outputs = direct_activations(LossKind.QUADRATIC, dataset, cfg, 0, [theta_k])
+        for delta_w, _ in outputs.values():
+            expected += delta_w / 15
         assert rec.theta.tobytes() == expected.tobytes()
 
     def test_divergence_carries_identity(self):
@@ -316,9 +326,9 @@ class TestRunTraining:
         shard_to_agent = {id(shard): n for n, shard in enumerate(dataset.shards)}
         calls = []
 
-        def counting(kind, shard, theta_k, params, rng):
+        def counting(kind, shard, theta_k, params, rng, v_sq):
             calls.append(shard_to_agent[id(shard)])
-            return svrg_local_update(kind, shard, theta_k, params, rng)
+            return svrg_local_update(kind, shard, theta_k, params, rng, v_sq)
 
         monkeypatch.setattr(federation, "svrg_local_update", counting)
         cfg = svrg_config(
@@ -386,6 +396,27 @@ class TestRunConfigValidation:
             cfg.theta0[0] = np.nan
         assert cfg.theta0.tolist() == [0.0, 0.0]
 
+    @pytest.mark.parametrize("field", ["rounds", "batch_size"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, np.float64(2.0)])
+    def test_rejects_non_integer_counts(self, field, value):
+        def build(**counts):
+            return RunConfig(
+                "b", Algorithm.FEDAVG_UNIFORM_BATCH, schedule=ParticipationSchedule(1.0),
+                theta0=np.zeros(2), master_seed=0, sgd=SgdParams(steps=1),
+                **{"rounds": 2, "batch_size": 2, **counts},
+            )
+
+        assert getattr(build(**{field: np.int64(3)}), field) == 3
+        message = f"{field} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(**{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, np.float64(2.0)])
+    def test_sgd_rejects_non_integer_steps(self, value):
+        assert SgdParams(np.int32(3)).steps == 3
+        with pytest.raises(ValueError, match=re.escape(f"steps must be an integer, got {value!r}")):
+            SgdParams(value)
+
     def test_decay_modes(self):
         per_round = SgdParams(steps=1, base_stepsize=0.2, decay="per_round")
         assert per_round.stepsize_for_round(0) == pytest.approx(0.2)
@@ -417,34 +448,39 @@ class TestRoundPlanning:
             return RunConfig(**common, sgd=sgd, batch_size=2)
         return RunConfig(**common, sgd=sgd)
 
-    @staticmethod
-    def assert_round_equal(rec, indicators, theta, traces):
-        assert rec.theta.tobytes() == theta.tobytes()
-        assert rec.indicators.tobytes() == indicators.tobytes()
-        assert list(rec.local_traces) == list(traces)
-        for n, local in traces.items():
-            assert rec.local_traces[n].delta_w.tobytes() == local.delta_w.tobytes()
-            assert rec.local_traces[n].v_sq_norms.tobytes() == local.v_sq_norms.tobytes()
-
     def check_run(self, dataset, cfg, run_index):
         """Each round of run_training equals a direct run_round of its plan
-        and the oracle; an SVRG run's norms rows are the direct rounds'
-        local norms."""
+        and the oracle. Each active agent's displacement and direction norms
+        are a direct solver call with the plan's seed; run_round writes those
+        norms into its block, and an SVRG run's norms rows are all of them in
+        (round, ascending agent) order."""
         trace = run_training(LossKind.QUADRATIC, dataset, cfg, run_index=run_index)
         reference = interleaved_run_training(LossKind.QUADRATIC, dataset, cfg, run_index)
         plans = _plan_rounds(cfg, dataset.n_agents, run_index)
         assert len(reference) == len(plans) == len(trace.records) == cfg.rounds
-        theta_k = trace.theta0
-        rows = []
-        for k, (rec, (indicators, theta, traces)) in enumerate(zip(trace.records, reference)):
-            direct = run_round(LossKind.QUADRATIC, dataset, cfg, theta_k, k, run_index, plans[k])
-            self.assert_round_equal(direct, indicators, theta, traces)
-            self.assert_round_equal(rec, direct.indicators, direct.theta, {})
-            assert direct.cost == rec.cost
-            assert direct.grad_norm_sq == rec.grad_norm_sq
-            rows.extend(local.v_sq_norms for local in direct.local_traces.values())
-            theta_k = rec.theta
+        thetas = [trace.theta0] + [rec.theta for rec in trace.records[:-1]]
+        direct = direct_activations(LossKind.QUADRATIC, dataset, cfg, run_index, thetas)
+        for k, (rec, plan, (indicators, theta, outputs)) in enumerate(
+            zip(trace.records, plans, reference)
+        ):
+            block = norms_block(cfg, plan)
+            replayed = run_round(
+                LossKind.QUADRATIC, dataset, cfg, thetas[k], k, run_index, plan, block
+            )
+            for got in (rec, replayed):
+                assert got.theta.tobytes() == theta.tobytes()
+                assert got.indicators.tobytes() == indicators.tobytes()
+            assert (replayed.cost, replayed.grad_norm_sq) == (rec.cost, rec.grad_norm_sq)
+            assert [n for j, n in direct if j == k] == list(outputs)
+            for j, (n, (want_delta, want_v_sq)) in enumerate(outputs.items()):
+                delta_w, v_sq = direct[k, n]
+                assert delta_w.tobytes() == want_delta.tobytes()
+                if block is None:
+                    assert v_sq is None and want_v_sq is None
+                else:
+                    assert v_sq.tobytes() == want_v_sq.tobytes() == block[j].tobytes()
         if cfg.algorithm is Algorithm.FEDAVG_SVRG:
+            rows = [v_sq for _, v_sq in direct.values()]
             shape = (len(rows), cfg.svrg.snapshots, cfg.svrg.inner_steps)
             assert trace.v_sq_norms.shape == shape
             assert trace.v_sq_norms.tobytes() == b"".join(row.tobytes() for row in rows)
@@ -503,11 +539,20 @@ class TestRunPayload:
 
     @pytest.mark.parametrize("algorithm", list(Algorithm))
     def test_records_hold_no_local_traces(self, algorithm):
+        # perfbench's traced repetition reads the field, so it stays, empty,
+        # on the records of run_training and of run_round alike.
         dataset, _ = small_dataset(n_agents=5)
         cfg = TestRoundPlanning.config(algorithm, TestRoundPlanning.PROBS)
         trace = run_training(LossKind.QUADRATIC, dataset, cfg, run_index=1)
         assert sum(rec.n_active for rec in trace.records) > 0
-        assert all(rec.local_traces == {} for rec in trace.records)
+        records = list(trace.records)
+        theta_k = trace.theta0
+        for k, plan in enumerate(_plan_rounds(cfg, dataset.n_agents, 1)):
+            records.append(run_round(LossKind.QUADRATIC, dataset, cfg, theta_k, k, 1, plan,
+                                     norms_block(cfg, plan)))
+            theta_k = records[-1].theta
+        assert len(records) == 2 * cfg.rounds
+        assert all(rec.local_traces == {} for rec in records)
 
     @pytest.mark.parametrize("algorithm", [Algorithm.FEDAVG_PROB_SGD, Algorithm.FEDAVG_UNIFORM_BATCH])
     def test_baseline_payload_does_not_grow_with_local_steps(self, algorithm):

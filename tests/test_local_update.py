@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from fedsim.losses import (
     least_squares_oracle,
 )
 from fedsim.seeding import derive_rng
-from oracles import loop_sgd_local_update, loop_svrg_local_update
+from oracles import loop_sgd_local_update, loop_svrg_local_update, svrg_outputs
 
 
 class FixedIndexRng:
@@ -50,6 +52,15 @@ class TestSvrgParams:
             SvrgParams(snapshots=1, inner_steps=1, stepsize=-0.1)
         with pytest.raises(ValueError):
             SvrgParams(snapshots=1, inner_steps=1, stepsize=float("nan"))
+
+    @pytest.mark.parametrize("field", ["snapshots", "inner_steps"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, np.float64(3.0)])
+    def test_rejects_non_integer_counts(self, field, value):
+        fields = {"snapshots": 2, "inner_steps": 3, "stepsize": 0.1}
+        assert getattr(SvrgParams(**{**fields, field: np.int64(4)}), field) == 4
+        message = f"{field} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SvrgParams(**{**fields, field: value})
 
 
 class TestVarianceReducedGrad:
@@ -100,47 +111,49 @@ class TestSvrgLocalUpdate:
         shard = random_shard(rng, n_samples=6, dim=3)
         theta = rng.standard_normal(3)
         params = SvrgParams(snapshots=3, inner_steps=4, stepsize=0.0)
-        trace = svrg_local_update(LossKind.QUADRATIC, shard, theta, params, rng)
-        assert np.array_equal(trace.delta_w, np.zeros(3))
+        delta_w, v_sq = svrg_outputs(
+            svrg_local_update, LossKind.QUADRATIC, shard, theta, params, rng
+        )
+        assert np.array_equal(delta_w, np.zeros(3))
         mu = agent_full_grad(LossKind.QUADRATIC, shard, theta)
-        assert np.allclose(trace.v_sq_norms, float(mu @ mu), rtol=1e-14)
+        assert np.allclose(v_sq, float(mu @ mu), rtol=1e-14)
 
     def test_fixed_point_at_exact_optimum(self):
         gen = np.random.default_rng(3)
         dataset, _ = generate_regression_dataset(1, 10, 3, 0.0, gen)
         theta_star, _ = least_squares_oracle(dataset)
         params = SvrgParams(snapshots=2, inner_steps=3, stepsize=0.05)
-        trace = svrg_local_update(
-            LossKind.QUADRATIC, dataset.shards[0], theta_star, params,
+        delta_w, v_sq = svrg_outputs(
+            svrg_local_update, LossKind.QUADRATIC, dataset.shards[0], theta_star, params,
             np.random.default_rng(0),
         )
-        assert np.allclose(trace.delta_w, np.zeros(3), atol=1e-10)
-        assert np.all(trace.v_sq_norms <= 1e-20)
+        assert np.allclose(delta_w, np.zeros(3), atol=1e-10)
+        assert np.all(v_sq <= 1e-20)
 
     def test_single_snapshot_single_step_is_full_gradient_step(self, rng):
         shard = random_shard(rng, n_samples=7, dim=4)
         theta = rng.standard_normal(4)
         params = SvrgParams(snapshots=1, inner_steps=1, stepsize=0.3)
         for sample in range(shard.n_samples):
-            trace = svrg_local_update(
-                LossKind.QUADRATIC, shard, theta, params, FixedIndexRng(sample)
+            delta_w, _ = svrg_outputs(
+                svrg_local_update, LossKind.QUADRATIC, shard, theta, params, FixedIndexRng(sample)
             )
             expected = -0.3 * agent_full_grad(LossKind.QUADRATIC, shard, theta)
             # (theta - step) - theta re-rounds the last bit, so not bitwise.
-            assert np.allclose(trace.delta_w, expected, atol=1e-14, rtol=1e-12)
+            assert np.allclose(delta_w, expected, atol=1e-14, rtol=1e-12)
 
     def test_first_step_of_each_cycle_uses_anchor_gradient(self, rng):
         shard = random_shard(rng, n_samples=6, dim=3)
         theta = rng.standard_normal(3)
         params = SvrgParams(snapshots=3, inner_steps=2, stepsize=0.1)
-        trace = svrg_local_update(
-            LossKind.QUADRATIC, shard, theta, params, FixedIndexRng(2)
+        _, v_sq = svrg_outputs(
+            svrg_local_update, LossKind.QUADRATIC, shard, theta, params, FixedIndexRng(2)
         )
         # Replay the same deterministic path step by step.
         w_tilde = theta
         for s in range(params.snapshots):
             mu = agent_full_grad(LossKind.QUADRATIC, shard, w_tilde)
-            assert trace.v_sq_norms[s, 0] == float(mu @ mu)
+            assert v_sq[s, 0] == float(mu @ mu)
             w = w_tilde
             for _ in range(params.inner_steps):
                 v = variance_reduced_grad(LossKind.QUADRATIC, shard, w, w_tilde, mu, 2)
@@ -151,37 +164,41 @@ class TestSvrgLocalUpdate:
         shard = random_shard(rng, n_samples=9, dim=5)
         theta = rng.standard_normal(5)
         params = SvrgParams(snapshots=3, inner_steps=4, stepsize=0.05)
-        trace = svrg_local_update(LossKind.QUADRATIC, shard, theta, params, rng)
-        assert trace.v_sq_norms.shape == (3, 4)
-        assert np.all(trace.v_sq_norms >= 0.0)
-        assert np.all(np.isfinite(trace.v_sq_norms))
-        budget = params.stepsize * np.sum(np.sqrt(trace.v_sq_norms))
-        assert np.linalg.norm(trace.delta_w) <= budget * (1.0 + 1e-12)
+        delta_w, v_sq = svrg_outputs(
+            svrg_local_update, LossKind.QUADRATIC, shard, theta, params, rng
+        )
+        assert v_sq.shape == (3, 4)
+        assert np.all(v_sq >= 0.0)
+        assert np.all(np.isfinite(v_sq))
+        budget = params.stepsize * np.sum(np.sqrt(v_sq))
+        assert np.linalg.norm(delta_w) <= budget * (1.0 + 1e-12)
 
     def test_identical_rng_state_is_bit_identical(self, rng):
         shard = random_shard(rng, n_samples=8, dim=4)
         theta = rng.standard_normal(4)
         params = SvrgParams(snapshots=2, inner_steps=5, stepsize=0.1)
-        a = svrg_local_update(
-            LossKind.QUADRATIC, shard, theta, params, derive_rng(1, "t", 0)
+        a = svrg_outputs(
+            svrg_local_update, LossKind.QUADRATIC, shard, theta, params, derive_rng(1, "t", 0)
         )
-        b = svrg_local_update(
-            LossKind.QUADRATIC, shard, theta, params, derive_rng(1, "t", 0)
+        b = svrg_outputs(
+            svrg_local_update, LossKind.QUADRATIC, shard, theta, params, derive_rng(1, "t", 0)
         )
-        assert np.array_equal(a.delta_w, b.delta_w)
-        assert np.array_equal(a.v_sq_norms, b.v_sq_norms)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_divergence_reports_position(self, rng):
         shard = random_shard(rng, n_samples=5, dim=3)
         theta = rng.standard_normal(3)
         params = SvrgParams(snapshots=2, inner_steps=4, stepsize=1e200)
         with pytest.raises(DivergenceError) as err:
-            svrg_local_update(LossKind.QUADRATIC, shard, theta, params, derive_rng(5, "d", 0))
+            svrg_outputs(svrg_local_update, LossKind.QUADRATIC, shard, theta, params,
+                         derive_rng(5, "d", 0))
         assert err.value.snapshot >= 0
         assert err.value.step >= 0
         assert "snapshot" in str(err.value)
         with pytest.raises(DivergenceError) as ref:
-            loop_svrg_local_update(LossKind.QUADRATIC, shard, theta, params, derive_rng(5, "d", 0))
+            svrg_outputs(loop_svrg_local_update, LossKind.QUADRATIC, shard, theta, params,
+                         derive_rng(5, "d", 0))
         assert (err.value.snapshot, err.value.step) == (ref.value.snapshot, ref.value.step)
 
     def test_variance_vanishes_at_anchor_but_not_for_raw_sgd(self):
@@ -208,26 +225,23 @@ class TestSgdLocalUpdate:
     def test_zero_stepsize_never_moves(self, rng):
         shard = random_shard(rng, n_samples=6, dim=3)
         theta = rng.standard_normal(3)
-        trace = sgd_local_update(LossKind.QUADRATIC, shard, theta, 5, 0.0, rng)
-        assert np.array_equal(trace.delta_w, np.zeros(3))
-        assert trace.v_sq_norms.shape == (1, 5)
+        delta_w = sgd_local_update(LossKind.QUADRATIC, shard, theta, 5, 0.0, rng)
+        assert np.array_equal(delta_w, np.zeros(3))
 
     def test_single_forced_step(self, rng):
         shard = random_shard(rng, n_samples=6, dim=3)
         theta = rng.standard_normal(3)
-        trace = sgd_local_update(
+        delta_w = sgd_local_update(
             LossKind.QUADRATIC, shard, theta, 1, 0.2, FixedIndexRng(3)
         )
         expected = -0.2 * component_grad(LossKind.QUADRATIC, shard, 3, theta)
-        assert np.allclose(trace.delta_w, expected, atol=1e-14, rtol=1e-12)
+        assert np.allclose(delta_w, expected, atol=1e-14, rtol=1e-12)
 
     def test_expected_single_step_is_full_gradient_step(self, rng):
         shard = random_shard(rng, n_samples=7, dim=4)
         theta = rng.standard_normal(4)
         deltas = [
-            sgd_local_update(
-                LossKind.QUADRATIC, shard, theta, 1, 0.1, FixedIndexRng(i)
-            ).delta_w
+            sgd_local_update(LossKind.QUADRATIC, shard, theta, 1, 0.1, FixedIndexRng(i))
             for i in range(shard.n_samples)
         ]
         assert np.allclose(
@@ -250,7 +264,11 @@ def _positions(solver, *args):
 
 
 class TestSolversMatchLoops:
-    """The solvers against their one-draw-per-step loops in ``oracles``, bit for bit."""
+    """The solvers against their one-draw-per-step loops in ``oracles``, bit for bit.
+
+    Each SVRG side writes its direction norms into an array of a different
+    fill, so equal arrays show that both wrote every entry.
+    """
 
     SHAPES = [(1, 1), (1, 7), (3, 4), (5, 50)]
     STEPSIZES = [0.0, 1e-3, 0.05, 0.3]
@@ -270,10 +288,10 @@ class TestSolversMatchLoops:
         for stepsize in self.STEPSIZES:
             params = SvrgParams(snapshots, inner_steps, stepsize)
             rng_a, rng_b = derive_rng(3, "svrg", n_samples), derive_rng(3, "svrg", n_samples)
-            got = svrg_local_update(kind, shard, theta, params, rng_a)
-            want = loop_svrg_local_update(kind, shard, theta, params, rng_b)
-            assert np.array_equal(got.delta_w, want.delta_w)
-            assert np.array_equal(got.v_sq_norms, want.v_sq_norms)
+            got = svrg_outputs(svrg_local_update, kind, shard, theta, params, rng_a)
+            want = svrg_outputs(loop_svrg_local_update, kind, shard, theta, params, rng_b, -1.0)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     @pytest.mark.parametrize("kind", [LossKind.QUADRATIC, LossKind.LOGISTIC])
@@ -286,8 +304,7 @@ class TestSolversMatchLoops:
             rng_a, rng_b = derive_rng(3, "sgd", n_samples), derive_rng(3, "sgd", n_samples)
             got = sgd_local_update(kind, shard, theta, steps, stepsize, rng_a)
             want = loop_sgd_local_update(kind, shard, theta, steps, stepsize, rng_b)
-            assert np.array_equal(got.delta_w, want.delta_w)
-            assert np.array_equal(got.v_sq_norms, want.v_sq_norms)
+            assert np.array_equal(got, want)
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
@@ -312,11 +329,13 @@ class TestDivergencePosition:
 
         monkeypatch.setattr(local_update, "variance_reduced_grad", recorded)
         position = _positions(
-            svrg_local_update, LossKind.QUADRATIC, shard, theta, params, np.random.default_rng(seed)
+            svrg_outputs, svrg_local_update, LossKind.QUADRATIC, shard, theta, params,
+            np.random.default_rng(seed),
         )
         monkeypatch.undo()
         expected = _positions(
-            loop_svrg_local_update, LossKind.QUADRATIC, shard, theta, params, np.random.default_rng(seed)
+            svrg_outputs, loop_svrg_local_update, LossKind.QUADRATIC, shard, theta, params,
+            np.random.default_rng(seed),
         )
         assert position == expected
         return position, steps

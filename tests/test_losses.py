@@ -11,7 +11,6 @@ from fedsim.losses import (
     SingularSystemError,
     agent_full_grad,
     component_grad,
-    component_loss,
     generate_regression_dataset,
     global_cost,
     global_grad,
@@ -20,6 +19,7 @@ from fedsim.losses import (
 )
 from oracles import (
     central_diff_grad,
+    component_loss,
     flat_global_cost,
     flat_global_grad,
     loop_agent_grad,

@@ -10,8 +10,6 @@ from fedsim.federation import (
     RunConfig,
     RunTrace,
     SgdParams,
-    _plan_rounds,
-    run_round,
     run_training,
 )
 from fedsim.local_update import SvrgParams
@@ -27,7 +25,7 @@ from fedsim.metrics import (
     summarize_runs,
     theorem_bound_check,
 )
-from oracles import per_activation_estimate_v_sq, two_pass_variance
+from oracles import direct_activations, per_activation_estimate_v_sq, two_pass_variance
 
 
 def synthetic_traces(rng, runs=3, rounds=4, n_agents=3, snapshots=3, inner_steps=4,
@@ -272,15 +270,13 @@ class TestBoundCheck:
 
     def test_real_runs_match_per_activation_reference(self):
         dataset, cfg, traces, probs = tiny_experiment(rounds=8, runs=3, probs=(0.3, 0.9))
+        # Each activation's norms from a direct solver call with its planned
+        # seed, not from the run's norms array.
         replayed = []
         for r, trace in enumerate(traces):
-            records = []
-            theta_k = trace.theta0
-            for k, plan in enumerate(_plan_rounds(cfg, dataset.n_agents, r)):
-                records.append(run_round(LossKind.QUADRATIC, dataset, cfg, theta_k, k, r, plan))
-                theta_k = records[-1].theta
-            replayed.append(RunTrace(trace.theta0, trace.initial_cost,
-                                     trace.initial_grad_norm_sq, records))
+            thetas = [trace.theta0] + [rec.theta for rec in trace.records[:-1]]
+            outputs = direct_activations(LossKind.QUADRATIC, dataset, cfg, r, thetas)
+            replayed.append({cell: v_sq for cell, (_, v_sq) in outputs.items()})
         est, imputed = _estimate_v_sq(traces, 8, 2, cfg.svrg)
         want_est, want_imputed = per_activation_estimate_v_sq(replayed, 8, 2, cfg.svrg)
         assert est.tobytes() == want_est.tobytes()

@@ -19,7 +19,6 @@ from fedsim.config import PROB_FLOOR, parse_config  # noqa: E402
 from fedsim.federation import RoundRecord, RunTrace, aggregate  # noqa: E402
 from fedsim.local_update import (  # noqa: E402
     DivergenceError,
-    LocalTrace,
     SvrgParams,
     sgd_local_update,
     svrg_local_update,
@@ -31,6 +30,7 @@ from oracles import (  # noqa: E402
     loop_sgd_local_update,
     loop_svrg_local_update,
     per_activation_estimate_v_sq,
+    svrg_outputs,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -152,11 +152,13 @@ def solver_cases(draw):
 
 
 def _outcome(solver, *args):
+    """The bytes of every array ``solver(*args)`` returns, or where it diverged."""
     try:
-        trace = solver(*args)
+        result = solver(*args)
     except DivergenceError as exc:
         return ("diverged", exc.snapshot, exc.step)
-    return ("ok", trace.delta_w.tobytes(), trace.v_sq_norms.tobytes())
+    arrays = result if isinstance(result, tuple) else (result,)
+    return ("ok",) + tuple(a.tobytes() for a in arrays)
 
 
 @SETTINGS
@@ -165,9 +167,11 @@ def test_solvers_match_scalar_loops(case):
     kind, shard, theta, (snapshots, inner_steps), stepsize, seed = case
     params = SvrgParams(snapshots, inner_steps, stepsize)
     rngs = [np.random.default_rng(seed) for _ in range(4)]
-    assert _outcome(svrg_local_update, kind, shard, theta, params, rngs[0]) == _outcome(
-        loop_svrg_local_update, kind, shard, theta, params, rngs[1]
-    )
+    # The two sides fill their norms arrays differently, so equal bytes show
+    # that both wrote every entry.
+    got = _outcome(svrg_outputs, svrg_local_update, kind, shard, theta, params, rngs[0])
+    want = _outcome(svrg_outputs, loop_svrg_local_update, kind, shard, theta, params, rngs[1], -1.0)
+    assert got == want
     steps = snapshots * inner_steps
     assert _outcome(sgd_local_update, kind, shard, theta, steps, stepsize, rngs[2]) == _outcome(
         loop_sgd_local_update, kind, shard, theta, steps, stepsize, rngs[3]
@@ -196,23 +200,19 @@ def bound_statistics_cases(draw):
 
 def _streamed_and_per_activation(indicators, norms, grad_norms):
     """The same runs twice: as run_training keeps them (one norms array per
-    run, no local traces) and with one LocalTrace per activation."""
+    run) and as one ``{(round, agent): norms}`` mapping per run."""
     streamed, per_activation = [], []
     start = 0
     for run, grads in zip(indicators, grad_norms):
         run_norms = norms[start:start + int(run.sum())]
         start += len(run_norms)
         rows = iter(run_norms)
-        records, local_records = [], []
+        records, cells = [], {}
         for k, active in enumerate(run):
-            state = dict(round_index=k, indicators=active, theta=np.zeros(1),
-                         cost=0.0, grad_norm_sq=float(grads[k + 1]))
-            locals_ = {n: LocalTrace(v_sq_norms=next(rows), delta_w=np.zeros(1))
-                       for n in np.flatnonzero(active).tolist()}
-            records.append(RoundRecord(**state))
-            local_records.append(RoundRecord(**state, local_traces=locals_))
+            records.append(RoundRecord(k, active, np.zeros(1), 0.0, float(grads[k + 1])))
+            cells.update(((k, n), next(rows)) for n in np.flatnonzero(active).tolist())
         streamed.append(RunTrace(np.zeros(1), 3.0, float(grads[0]), records, run_norms))
-        per_activation.append(RunTrace(np.zeros(1), 3.0, float(grads[0]), local_records))
+        per_activation.append(cells)
     return streamed, per_activation
 
 
@@ -229,8 +229,12 @@ def test_streamed_bound_statistics_match_per_activation_loop(case):
     assert imputed == want_imputed >= n_agents + 1
 
     got = metrics.theorem_bound_check(streamed, 2.5, 3.0, 1.0, params, probs)
-    with mock.patch.object(metrics, "_estimate_v_sq", per_activation_estimate_v_sq):
-        want = metrics.theorem_bound_check(per_activation, 2.5, 3.0, 1.0, params, probs)
+
+    def reference(_traces, *args):
+        return per_activation_estimate_v_sq(per_activation, *args)
+
+    with mock.patch.object(metrics, "_estimate_v_sq", reference):
+        want = metrics.theorem_bound_check(streamed, 2.5, 3.0, 1.0, params, probs)
     assert (got.init_term, got.drift_term, got.variance_term, got.imputed_cells) == (
         want.init_term, want.drift_term, want.variance_term, want.imputed_cells,
     )

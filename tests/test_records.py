@@ -30,7 +30,6 @@ from fedsim import (
     load_builtin_config,
     run_training,
 )
-from fedsim.local_update import LocalTrace
 from fedsim.losses import LossKind
 
 PUBLIC_NAMES = [
@@ -97,7 +96,6 @@ FROZEN = {
     "AgentShard": lambda: Dataset(np.ones((1, 2, 2)), np.ones((1, 2))).shards[0],
     "Dataset": lambda: Dataset(np.ones((1, 2, 2)), np.ones((1, 2))),
     "SvrgParams": lambda: SvrgParams(1, 2, 0.1),
-    "LocalTrace": lambda: LocalTrace(np.zeros((1, 2)), np.zeros(2)),
     "ParticipationSchedule": schedule,
     "SgdParams": lambda: SgdParams(3),
     "RunConfig": svrg_config,

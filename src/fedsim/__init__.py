@@ -8,7 +8,6 @@ and numerically evaluates the convergence bound from recorded traces.
 """
 
 from .config import (
-    ConfigError,
     DataConfig,
     ExperimentConfig,
     load_builtin_config,
@@ -28,6 +27,7 @@ from .federation import (
     run_training,
     sample_participation,
 )
+from .frozen import ConfigError
 from .local_update import DivergenceError, SvrgParams
 from .losses import (
     Dataset,
@@ -39,17 +39,6 @@ from .losses import (
     least_squares_oracle,
     smoothness_constant,
 )
-from .metrics import (
-    BoundCheck,
-    McSummary,
-    bound_initial_term,
-    cep_radius,
-    cep_radius_2d,
-    cost_error_trace,
-    mc_variance_trace,
-    mean_sq_grad_norm,
-    summarize_runs,
-    theorem_bound_check,
-)
+from .metrics import BoundCheck, McSummary, summarize_runs, theorem_bound_check
 
 __version__ = "0.1.0"

@@ -9,7 +9,9 @@ form: every default filled in, a ``per_agent_uniform_draw`` schedule drawn
 and written out as ``per_agent``, and each baseline's ``local_steps``
 resolved to equal work. ``ExperimentConfig`` is built from that document
 and keeps it, so the serialized form of a loaded config is fully explicit
-and loads back to an identical config.
+and loads back to an identical config. A key's number, integer, decay-mode
+and master-seed rules are the records' own checks, called here with the
+key path, so a config and a record reject the same values.
 
 All probabilities must lie in [PROB_FLOOR, 1] = [1e-6, 1], the range
 ``ParticipationSchedule`` also enforces; the inverse-probability weighting
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import importlib.resources
 import json
-import math
 import pickle
 import re
 from functools import partial
@@ -29,14 +30,11 @@ from pathlib import Path
 import numpy as np
 
 from .federation import PROB_FLOOR, Algorithm, ParticipationSchedule, RunConfig, SgdParams
-from .frozen import Frozen
+from .federation import _as_decay, _as_master_seed
+from .frozen import ConfigError, Frozen, _as_float, _as_int
 from .local_update import SvrgParams
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
-
-
-class ConfigError(ValueError):
-    """A config document failed to parse or validate; names the field path."""
 
 
 class DataConfig(Frozen):
@@ -129,35 +127,6 @@ def _kind(node, path: str):
     return node["kind"]
 
 
-def _as_int(value, path: str, minimum=None, maximum=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{path}: must be <= {maximum}, got {value}")
-    return value
-
-
-def _as_float(value, path: str, minimum=None, maximum=None, strict_min=False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:  # an integer beyond the float range
-        raise ConfigError(f"{path}: must be finite") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}: must be finite")
-    if minimum is not None:
-        if strict_min and value <= minimum:
-            raise ConfigError(f"{path}: must be > {minimum}, got {value}")
-        if not strict_min and value < minimum:
-            raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{path}: must be <= {maximum}, got {value}")
-    return value
-
-
 def _as_name(value, path: str) -> str:
     if not isinstance(value, str) or not _NAME_RE.match(value):
         raise ConfigError(
@@ -183,12 +152,6 @@ def _as_probs(value, path: str, n_agents: int) -> list[float]:
     if not isinstance(value, list) or len(value) != n_agents:
         raise ConfigError(f"{path}: expected a list of {n_agents} probabilities")
     return [_as_prob(p, f"{path}[{i}]") for i, p in enumerate(value)]
-
-
-def _as_decay(value, path: str) -> str:
-    if value not in ("per_round", "constant"):
-        raise ConfigError(f"{path}: expected 'per_round' or 'constant', got {value!r}")
-    return value
 
 
 def _as_theta0(value, path: str, dimension: int) -> list[float]:
@@ -251,7 +214,7 @@ _TOP_KEYS = {
     "name": (_as_name, None),
     "data": (partial(_section, keys=_DATA_KEYS), _REQUIRED),
     "runs": (_COUNT, _REQUIRED),
-    "master_seed": (partial(_as_int, minimum=0, maximum=2**64 - 1), _REQUIRED),
+    "master_seed": (_as_master_seed, _REQUIRED),
     "output_dir": (_as_dir, None),
     "theta0": _CHECKED_LATER,
     "schedule": _CHECKED_LATER,

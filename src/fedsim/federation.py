@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import enum
 import logging
+from functools import partial
 
 import numpy as np
 
-from .frozen import Frozen, check_count
+from .frozen import ConfigError, Frozen, _as_float, _as_int
 from .local_update import DivergenceError, SvrgParams, sgd_local_update, svrg_local_update
 from .losses import Dataset, LossKind, global_cost, global_grad
 from .seeding import derive_rng, derive_seeds, rng_from_seed
@@ -29,6 +30,16 @@ GRADIENT_LABEL = "gradients"
 # The smallest activation probability: inverse-probability weighting divides
 # by p * N, which amplifies variance without bound as p goes to 0.
 PROB_FLOOR = 1e-6
+# The baselines' stepsize schedules; see SgdParams.
+DECAY_MODES = ("per_round", "constant")
+# A run's master seed, as RunConfig and a config's master_seed take it.
+_as_master_seed = partial(_as_int, minimum=0, maximum=2**64 - 1)
+
+
+def _as_decay(value, path: str) -> str:
+    if value not in DECAY_MODES:
+        raise ConfigError(f"{path}: expected {' or '.join(map(repr, DECAY_MODES))}, got {value!r}")
+    return value
 
 
 class Algorithm(enum.Enum):
@@ -95,12 +106,11 @@ class SgdParams(Frozen):
     """
 
     def __init__(self, steps: int, base_stepsize: float = 0.1, decay: str = "per_round"):
-        check_count("steps", steps)
-        if not (np.isfinite(base_stepsize) and base_stepsize > 0.0):
-            raise ValueError("base_stepsize must be finite and > 0")
-        if decay not in ("per_round", "constant"):
-            raise ValueError(f"unknown decay mode {decay!r}")
-        self.__dict__.update(steps=steps, base_stepsize=base_stepsize, decay=decay)
+        self.__dict__.update(
+            steps=_as_int(steps, "steps", minimum=1),
+            base_stepsize=_as_float(base_stepsize, "base_stepsize", minimum=0.0, strict_min=True),
+            decay=_as_decay(decay, "decay"),
+        )
 
     def stepsize_for_round(self, round_index: int) -> float:
         if self.decay == "constant":
@@ -166,8 +176,10 @@ class RunTrace:
 class RunConfig(Frozen):
     """Everything one training run needs besides the dataset itself.
 
-    A run has at least one round: ``rounds`` must be an integer >= 1, as in a
-    config, and so must ``batch_size`` for the uniform batch. The config
+    Its values obey a config's rules, checked by the same functions: a run
+    has at least one round, so ``rounds`` must be an integer >= 1, and so
+    must ``batch_size`` for the uniform batch; ``master_seed`` is an integer
+    in [0, 2**64 - 1] and every entry of ``theta0`` is finite. The config
     keeps its own read-only copy of ``theta0``, so no later write to the
     caller's array reaches a run.
     """
@@ -179,13 +191,16 @@ class RunConfig(Frozen):
     ):
         theta0 = np.array(theta0, dtype=float)
         theta0.flags.writeable = False
-        check_count("rounds", rounds)
+        for i, value in enumerate(theta0.flat):
+            _as_float(value, f"theta0[{i}]")
+        rounds = _as_int(rounds, "rounds", minimum=1)
+        master_seed = _as_master_seed(master_seed, "master_seed")
         if algorithm is Algorithm.FEDAVG_SVRG and svrg is None:
             raise ValueError("fedavg_svrg requires svrg parameters")
         if algorithm is not Algorithm.FEDAVG_SVRG and sgd is None:
             raise ValueError(f"{algorithm.value} requires sgd parameters")
         if algorithm is Algorithm.FEDAVG_UNIFORM_BATCH:
-            check_count("batch_size", batch_size)
+            batch_size = _as_int(batch_size, "batch_size", minimum=1)
         self.__dict__.update(
             name=name, algorithm=algorithm, rounds=rounds, schedule=schedule, theta0=theta0,
             master_seed=master_seed, svrg=svrg, sgd=sgd, batch_size=batch_size,

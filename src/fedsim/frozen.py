@@ -1,13 +1,24 @@
-"""The shared base of fedsim's immutable record classes, and the check of their counts.
+"""The shared base of fedsim's immutable records, and the value checks that
+the records and the config both call.
 
 Each record writes its ``__init__`` out in source, so its methods load from
 the bytecode cache; a ``@dataclass`` would generate them with ``exec`` on
 every import. A frozen record stores its fields once, through
 ``self.__dict__``, and keeps that instance ``__dict__``, so pickling and
 copying work as for any plain object.
+
+``_as_int`` and ``_as_float`` take the value and the path to name in an
+error: a config's key path such as ``config.runs``, or a record's field
+name, as in ``rounds: must be >= 1, got 0``. Each raises ``ConfigError``, or
+returns a Python ``int`` or ``float``.
 """
 
+import math
 import numbers
+
+
+class ConfigError(ValueError):
+    """A config document or record field failed to validate; names its path."""
 
 
 class Frozen:
@@ -22,13 +33,31 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
 
 
-def check_count(name: str, value) -> None:
-    """Require a record's count field to be an integer >= 1.
-
-    Python and numpy integers pass; a bool or a float is rejected here, where
-    the record is built, not deep inside a run that uses it as a size.
-    """
+def _as_int(value, path: str, minimum=None, maximum=None) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{path}: must be <= {maximum}, got {value}")
+    return value
+
+
+def _as_float(value, path: str, minimum=None, maximum=None, strict_min=False) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{path}: must be finite") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite")
+    if minimum is not None:
+        if strict_min and value <= minimum:
+            raise ConfigError(f"{path}: must be > {minimum}, got {value}")
+        if not strict_min and value < minimum:
+            raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{path}: must be <= {maximum}, got {value}")
+    return value

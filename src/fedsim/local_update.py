@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .frozen import Frozen, check_count
+from .frozen import Frozen, _as_float, _as_int
 from .losses import AgentShard, LossKind, agent_full_grad, component_grad
 
 
@@ -31,11 +31,11 @@ class SvrgParams(Frozen):
     """
 
     def __init__(self, snapshots: int, inner_steps: int, stepsize: float):
-        check_count("snapshots", snapshots)
-        check_count("inner_steps", inner_steps)
-        if not (np.isfinite(stepsize) and stepsize >= 0.0):
-            raise ValueError("stepsize must be finite and >= 0")
-        self.__dict__.update(snapshots=snapshots, inner_steps=inner_steps, stepsize=stepsize)
+        self.__dict__.update(
+            snapshots=_as_int(snapshots, "snapshots", minimum=1),
+            inner_steps=_as_int(inner_steps, "inner_steps", minimum=1),
+            stepsize=_as_float(stepsize, "stepsize", minimum=0.0),
+        )
 
 
 class DivergenceError(RuntimeError):

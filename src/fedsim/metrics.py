@@ -5,6 +5,10 @@ are estimated by averaging across Monte Carlo runs; the circular error
 probable (CEP) of the final iterates is the median distance from their
 mean, computed in the full parameter space (a first-two-coordinates
 projection is also provided for plotting parity).
+
+The two entry points, ``summarize_runs`` and ``theorem_bound_check``, check
+their traces once, in ``_round_count``. The helpers they call trust those
+checked inputs and check nothing themselves.
 """
 
 from __future__ import annotations
@@ -15,20 +19,26 @@ from .federation import RunTrace
 from .local_update import SvrgParams
 
 
-def cost_error_trace(traces: list[RunTrace], f_star: float) -> np.ndarray:
-    """Per-run, per-round optimality gap: recorded cost minus the optimal value."""
+def _round_count(traces: list[RunTrace]) -> int:
+    """The number of rounds that every trace has; at least one trace and one round."""
     if not traces:
         raise ValueError("need at least one run trace")
-    if len({len(trace.records) for trace in traces}) > 1:
-        raise ValueError("runs have differing round counts")
+    counts = {len(trace.records) for trace in traces}
+    if len(counts) > 1:
+        raise ValueError(f"runs have differing round counts {sorted(counts)}")
+    rounds = counts.pop()
+    if rounds < 1:
+        raise ValueError("runs have no rounds")
+    return rounds
+
+
+def cost_error_trace(traces: list[RunTrace], f_star: float) -> np.ndarray:
+    """Per-run, per-round optimality gap: recorded cost minus the optimal value."""
     return np.array([trace.costs for trace in traces]) - f_star
 
 
 def mc_variance_trace(costs: np.ndarray) -> np.ndarray:
-    """Unbiased per-round sample variance of the cost across runs."""
-    costs = np.asarray(costs, dtype=float)
-    if costs.ndim != 2 or costs.shape[0] < 2:
-        raise ValueError("need a (runs x rounds) matrix with at least 2 runs")
+    """Unbiased per-round sample variance of a (runs x rounds) cost matrix, runs >= 2."""
     return np.var(costs, axis=0, ddof=1)
 
 
@@ -39,8 +49,6 @@ def cep_radius(final_thetas: list[np.ndarray]) -> float:
     order statistics, so at least half of the points lie within the
     returned radius.
     """
-    if not final_thetas:
-        raise ValueError("need at least one final iterate")
     pts = np.array(final_thetas, dtype=float)
     center = pts.mean(axis=0)
     return float(np.median(np.linalg.norm(pts - center, axis=1)))
@@ -59,12 +67,8 @@ def mean_sq_grad_norm(traces: list[RunTrace]) -> float:
     plus the first K-1 post-round parameters), matching the quantity the
     convergence bound controls.
     """
-    if not traces:
-        raise ValueError("need at least one run trace")
     per_run = []
     for trace in traces:
-        if not trace.records:
-            raise ValueError("trace has no rounds")
         norms = [trace.initial_grad_norm_sq]
         norms.extend(rec.grad_norm_sq for rec in trace.records[:-1])
         per_run.append(float(np.mean(norms)))
@@ -73,10 +77,6 @@ def mean_sq_grad_norm(traces: list[RunTrace]) -> float:
 
 def bound_initial_term(f0: float, f_star: float, params: SvrgParams, rounds: int) -> float:
     """First right-hand-side term: the initial optimality gap shrinking as 1/rounds."""
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    if params.stepsize <= 0.0:
-        raise ValueError(f"stepsize must be > 0 to evaluate the bound, got {params.stepsize}")
     return 2.0 * (f0 - f_star) / (
         params.stepsize * rounds * params.snapshots * params.inner_steps
     )
@@ -112,13 +112,13 @@ def _estimate_v_sq(
     the round (zero if the whole round was silent across all runs). A run's
     ``v_sq_norms`` rows follow the row-major order of its indicator matrix,
     so one masked addition per run adds each row to its cell, in run order.
+    Every trace has ``rounds`` rounds, as ``theorem_bound_check`` checked;
+    each run's indicator width and norms shape are checked here.
     """
     shape = (params.snapshots, params.inner_steps)
     sums = np.zeros((rounds, n_agents) + shape)
     counts = np.zeros((rounds, n_agents))
     for trace in traces:
-        if len(trace.records) != rounds:
-            raise ValueError(f"trace has {len(trace.records)} rounds, expected {rounds}")
         widths = {len(rec.indicators) for rec in trace.records}
         if widths != {n_agents}:
             raise ValueError(f"trace covers {sorted(widths)} agents, expected {n_agents}")
@@ -167,16 +167,16 @@ def theorem_bound_check(
     earlier snapshot cycles, and an inverse-probability-weighted term over
     every squared stochastic direction. Traces must come from
     variance-reduced runs whose shape matches ``params``; a baseline
-    trace keeps no ``v_sq_norms`` and raises ``ValueError``.
+    trace keeps no ``v_sq_norms`` and raises ``ValueError``. ``probs`` is the
+    (rounds x agents) matrix of activation probabilities the runs drew from.
     """
-    if not traces:
-        raise ValueError("need at least one run trace")
+    rounds = _round_count(traces)
     probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 2:
-        raise ValueError("probs must be a (rounds x agents) matrix")
-    rounds, n_agents = probs.shape
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
+    if probs.ndim != 2 or probs.shape[0] != rounds:
+        raise ValueError(f"probs has shape {probs.shape}, expected ({rounds}, agents)")
+    n_agents = probs.shape[1]
+    if params.stepsize <= 0.0:
+        raise ValueError(f"stepsize must be > 0 to evaluate the bound, got {params.stepsize}")
     s_count, m_count = params.snapshots, params.inner_steps
     delta = params.stepsize
 
@@ -235,6 +235,7 @@ class McSummary:
 
 def summarize_runs(traces: list[RunTrace], f_star: float) -> McSummary:
     """Fold one algorithm's Monte Carlo traces into a summary record."""
+    _round_count(traces)
     errors = cost_error_trace(traces, f_star)
     finals = [trace.final_theta for trace in traces]
     return McSummary(

@@ -23,6 +23,7 @@ from fedsim.federation import (
     run_training,
     sample_participation,
 )
+from fedsim.frozen import ConfigError
 from fedsim.local_update import SvrgParams, svrg_local_update
 from fedsim.losses import (
     Dataset,
@@ -274,7 +275,7 @@ class TestRunTraining:
     @pytest.mark.parametrize("rounds", [0, -1])
     def test_zero_rounds_are_rejected(self, rounds):
         # A run has at least one round, as a config's ``rounds`` must be.
-        with pytest.raises(ValueError, match="rounds must be >= 1"):
+        with pytest.raises(ValueError, match=re.escape(f"rounds: must be >= 1, got {rounds}")):
             svrg_config(ParticipationSchedule(1.0), rounds=rounds)
 
     def test_one_round_run(self):
@@ -407,15 +408,49 @@ class TestRunConfigValidation:
             )
 
         assert getattr(build(**{field: np.int64(3)}), field) == 3
-        message = f"{field} must be an integer, got {value!r}"
+        message = f"{field}: expected an integer, got {value!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             build(**{field: value})
 
     @pytest.mark.parametrize("value", [2.5, 2.0, True, np.float64(2.0)])
     def test_sgd_rejects_non_integer_steps(self, value):
         assert SgdParams(np.int32(3)).steps == 3
-        with pytest.raises(ValueError, match=re.escape(f"steps must be an integer, got {value!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"steps: expected an integer, got {value!r}")):
             SgdParams(value)
+
+    @pytest.mark.parametrize("value, shown", [
+        (True, "expected a number, got True"),
+        ("0.1", "expected a number, got '0.1'"),
+        (None, "expected a number, got None"),
+        (0.0, "must be > 0.0, got 0.0"),
+        (float("nan"), "must be finite"),
+    ])
+    def test_sgd_rejects_bad_stepsizes(self, value, shown):
+        with pytest.raises(ConfigError) as err:
+            SgdParams(3, value)
+        assert str(err.value) == f"base_stepsize: {shown}"
+
+    @pytest.mark.parametrize("seed, shown", [
+        (1.9, "expected an integer, got 1.9"),
+        (True, "expected an integer, got True"),
+        (-5, "must be >= 0, got -5"),
+        (2**64, f"must be <= {2**64 - 1}, got {2**64}"),
+    ])
+    def test_master_seed_is_checked_as_config_master_seed(self, seed, shown):
+        # The same check and bounds as a config's master_seed, named by the field.
+        with pytest.raises(ConfigError) as err:
+            svrg_config(ParticipationSchedule(1.0), master_seed=seed)
+        assert str(err.value) == f"master_seed: {shown}"
+
+    def test_master_seed_keeps_numpy_integers_as_int(self):
+        cfg = svrg_config(ParticipationSchedule(1.0), master_seed=np.uint64(2**64 - 1))
+        assert type(cfg.master_seed) is int and cfg.master_seed == 2**64 - 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_theta0_is_rejected_by_name(self, bad):
+        with pytest.raises(ConfigError, match=re.escape("theta0[1]: must be finite")):
+            RunConfig("x", Algorithm.FEDAVG_PROB_SGD, 1, ParticipationSchedule(1.0),
+                      [0.0, bad], 0, sgd=SgdParams(steps=1))
 
     def test_decay_modes(self):
         per_round = SgdParams(steps=1, base_stepsize=0.2, decay="per_round")
@@ -423,7 +458,8 @@ class TestRunConfigValidation:
         assert per_round.stepsize_for_round(3) == pytest.approx(0.1)
         constant = SgdParams(steps=1, base_stepsize=0.2, decay="constant")
         assert constant.stepsize_for_round(99) == 0.2
-        with pytest.raises(ValueError):
+        message = "decay: expected 'per_round' or 'constant', got 'bogus'"
+        with pytest.raises(ConfigError, match=re.escape(message)):
             SgdParams(steps=1, decay="bogus")
 
 

@@ -12,6 +12,7 @@ from fedsim.federation import (
     SgdParams,
     run_training,
 )
+from fedsim.frozen import ConfigError
 from fedsim.local_update import (
     DivergenceError,
     SvrgParams,
@@ -52,13 +53,17 @@ class TestSvrgParams:
             SvrgParams(snapshots=1, inner_steps=1, stepsize=-0.1)
         with pytest.raises(ValueError):
             SvrgParams(snapshots=1, inner_steps=1, stepsize=float("nan"))
+        for value in (True, "0.1", None):
+            message = f"stepsize: expected a number, got {value!r}"
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                SvrgParams(snapshots=1, inner_steps=1, stepsize=value)
 
     @pytest.mark.parametrize("field", ["snapshots", "inner_steps"])
     @pytest.mark.parametrize("value", [2.5, 2.0, True, np.float64(3.0)])
     def test_rejects_non_integer_counts(self, field, value):
         fields = {"snapshots": 2, "inner_steps": 3, "stepsize": 0.1}
         assert getattr(SvrgParams(**{**fields, field: np.int64(4)}), field) == 4
-        message = f"{field} must be an integer, got {value!r}"
+        message = f"{field}: expected an integer, got {value!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             SvrgParams(**{**fields, field: value})
 

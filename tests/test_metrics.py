@@ -150,13 +150,6 @@ class TestCostErrorTrace:
         errors = cost_error_trace(traces, 0.25)
         assert np.allclose(errors[0], traces[0].costs - 0.25, atol=1e-16)
 
-    def test_rejects_no_traces_and_ragged_rounds(self, rng):
-        with pytest.raises(ValueError, match="at least one run trace"):
-            cost_error_trace([], 0.0)
-        ragged = synthetic_traces(rng, runs=1, rounds=3) + synthetic_traces(rng, runs=1, rounds=4)
-        with pytest.raises(ValueError, match="differing round counts"):
-            cost_error_trace(ragged, 0.0)
-
     def test_matches_recomputed_costs(self):
         dataset, _, traces, _ = tiny_experiment()
         _, f_star = least_squares_oracle(dataset)
@@ -188,10 +181,6 @@ class TestMcVarianceTrace:
         assert np.allclose(
             mc_variance_trace(costs), mc_variance_trace(shifted), atol=1e-12
         )
-
-    def test_requires_two_runs(self):
-        with pytest.raises(ValueError):
-            mc_variance_trace(np.ones((1, 4)))
 
 
 class TestCepRadius:
@@ -233,8 +222,6 @@ class TestBoundCheck:
     def test_zero_stepsize_is_rejected_by_name(self):
         # SvrgParams permits a zero stepsize, but the initial term divides by it.
         params = SvrgParams(2, 3, 0.0)
-        with pytest.raises(ValueError, match=r"stepsize must be > 0 .*got 0\.0"):
-            bound_initial_term(14.0, 1.0, params, 50)
         _, _, traces, probs = tiny_experiment(snapshots=2, inner_steps=3, stepsize=0.0)
         with pytest.raises(ValueError, match=r"stepsize must be > 0 .*got 0\.0"):
             theorem_bound_check(traces, 4.0, 2.0, 1.0, params, probs)
@@ -311,9 +298,19 @@ class TestBoundCheck:
             theorem_bound_check(good, 1.0, 2.0, 1.0, params, np.full((9, 3), 0.5))
 
 
+# The two entry points, each with the arguments it takes besides the traces.
+ENTRY_POINTS = {
+    "summarize_runs": lambda traces: summarize_runs(traces, 0.0),
+    "theorem_bound_check": lambda traces: theorem_bound_check(
+        traces, 1.0, 2.0, 1.0, SvrgParams(3, 4, 0.1), np.full((4, 3), 0.5)
+    ),
+}
+
+
 class TestBoundStatisticsValidation:
-    """Each trace is checked once: round count, indicator width and the
-    shape of its norms array."""
+    """Each trace is checked once. Both entry points check the traces' count
+    and their shared round count; the bound also checks the probabilities'
+    shape and each trace's indicator width and norms shape."""
 
     PARAMS = SvrgParams(3, 4, 0.1)
 
@@ -342,10 +339,22 @@ class TestBoundStatisticsValidation:
         with pytest.raises(ValueError, match=re.escape(f"shape {bad}, expected {expected}")):
             self.check(traces)
 
-    def test_round_count_checked(self, rng):
-        traces = synthetic_traces(rng, rounds=3)
-        with pytest.raises(ValueError, match="trace has 3 rounds, expected 4"):
-            self.check(traces)
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_rejects_no_traces_and_ragged_rounds(self, rng, entry):
+        with pytest.raises(ValueError, match="at least one run trace"):
+            ENTRY_POINTS[entry]([])
+        ragged = synthetic_traces(rng, runs=1, rounds=4) + synthetic_traces(rng, runs=1, rounds=3)
+        with pytest.raises(ValueError, match=re.escape("differing round counts [3, 4]")):
+            ENTRY_POINTS[entry](ragged)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_round_count_checked(self, rng, entry):
+        with pytest.raises(ValueError, match="runs have no rounds"):
+            ENTRY_POINTS[entry](synthetic_traces(rng, rounds=0))
+        if entry == "theorem_bound_check":
+            traces = synthetic_traces(rng, rounds=3)
+            with pytest.raises(ValueError, match=re.escape("shape (4, 3), expected (3, agents)")):
+                self.check(traces)
 
     def test_indicator_width_checked(self, rng):
         traces = synthetic_traces(rng, n_agents=2)

@@ -36,12 +36,10 @@ PUBLIC_NAMES = [
     "Algorithm", "BoundCheck", "ConfigError", "DataConfig", "Dataset", "DivergenceError",
     "ExperimentConfig", "ExperimentResult", "LossKind", "McSummary", "ParticipationSchedule",
     "RoundRecord", "RunConfig", "RunTrace", "SgdParams", "SingularSystemError", "SvrgParams",
-    "TrainingError", "aggregate", "bound_initial_term", "build_dataset", "cep_radius",
-    "cep_radius_2d", "cost_error_trace", "generate_regression_dataset", "global_cost",
-    "global_grad", "least_squares_oracle", "load_builtin_config", "load_config",
-    "mc_variance_trace", "mean_sq_grad_norm", "parse_config", "run_experiment",
-    "run_training", "sample_participation", "smoothness_constant", "summarize_runs",
-    "theorem_bound_check",
+    "TrainingError", "aggregate", "build_dataset", "generate_regression_dataset", "global_cost",
+    "global_grad", "least_squares_oracle", "load_builtin_config", "load_config", "parse_config",
+    "run_experiment", "run_training", "sample_participation", "smoothness_constant",
+    "summarize_runs", "theorem_bound_check",
 ]
 
 

@@ -20,6 +20,7 @@ from pathlib import Path
 from .config import ConfigError, ExperimentConfig, load_builtin_config, load_config
 from .experiment import build_dataset, run_experiment
 from .federation import TrainingError
+from .frozen import _as_int
 from .losses import LossKind, SingularSystemError, least_squares_oracle, smoothness_constant
 
 logger = logging.getLogger(__name__)
@@ -47,13 +48,10 @@ def _load(spec: str) -> ExperimentConfig:
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
+    try:  # ConfigError is a ValueError, as is int()'s error on a non-integer
+        return _as_int(int(text), "workers", minimum=1)
     except ValueError:
-        value = 0  # not an integer: rejected below with the same message
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}") from None
 
 
 def _cmd_run(args) -> int:

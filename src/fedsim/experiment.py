@@ -21,6 +21,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .federation import Algorithm, RunTrace, run_training
+from .frozen import _as_int
 from .losses import (
     Dataset,
     LossKind,
@@ -137,9 +138,9 @@ def run_experiment(
     written in deterministic (algorithm, run) order either way. An
     ``output_dir`` argument overrides the config's and is echoed in
     ``config_resolved.json`` so the written config reproduces this run.
+    A ``workers`` that is a bool or not an integer >= 1 raises ``ConfigError``.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = _as_int(workers, "workers", minimum=1)
     if output_dir is not None:
         config = config.with_overrides(output_dir=str(output_dir))
     out_dir = Path(config.output_dir)

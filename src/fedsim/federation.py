@@ -353,12 +353,9 @@ def run_training(
     gradient sampling. Every round is planned before the first one runs.
     A variance-reduced run allocates ``RunTrace.v_sq_norms`` once and hands
     each round its block of rows, which the solvers fill in place.
+    A misshaped ``theta0`` fails the first ``global_grad``, before any round.
     """
     theta = cfg.theta0
-    if theta.shape != (dataset.dimension,):
-        raise ValueError(
-            f"theta0 has shape {theta.shape}, expected ({dataset.dimension},)"
-        )
     if cfg.algorithm is Algorithm.FEDAVG_UNIFORM_BATCH and cfg.batch_size > dataset.n_agents:
         raise ValueError(f"batch_size {cfg.batch_size} exceeds {dataset.n_agents} agents")
     grad0 = global_grad(kind, dataset, theta)

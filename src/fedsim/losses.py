@@ -28,7 +28,7 @@ import enum
 
 import numpy as np
 
-from .frozen import Frozen
+from .frozen import Frozen, _as_float, _as_int
 
 
 class LossKind(enum.Enum):
@@ -213,12 +213,13 @@ def generate_regression_dataset(
     Features and the generating parameter are i.i.d. standard normal;
     labels are row.theta_true plus N(0, noise_std^2) noise. Samples are
     assigned to agents in contiguous equal blocks. The result is a pure
-    function of the generator state.
+    function of the generator state. Each argument keeps the rule of the
+    config's ``data`` key of its name, or ``ConfigError`` names it.
     """
-    if n_agents < 1 or samples_per_agent < 1 or dimension < 1:
-        raise ValueError("n_agents, samples_per_agent and dimension must be >= 1")
-    if noise_std < 0.0:
-        raise ValueError("noise_std must be >= 0")
+    n_agents = _as_int(n_agents, "n_agents", minimum=1)
+    samples_per_agent = _as_int(samples_per_agent, "samples_per_agent", minimum=1)
+    dimension = _as_int(dimension, "dimension", minimum=1)
+    noise_std = _as_float(noise_std, "noise_std", minimum=0.0)
     total = n_agents * samples_per_agent
     features = rng.standard_normal((total, dimension))
     theta_true = rng.standard_normal(dimension)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .federation import RunTrace
+from .frozen import _as_float
 from .local_update import SvrgParams
 
 
@@ -169,16 +170,15 @@ def theorem_bound_check(
     variance-reduced runs whose shape matches ``params``; a baseline
     trace keeps no ``v_sq_norms`` and raises ``ValueError``. ``probs`` is the
     (rounds x agents) matrix of activation probabilities the runs drew from.
+    A zero stepsize, which ``SvrgParams`` permits, raises ``ConfigError``.
     """
     rounds = _round_count(traces)
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 2 or probs.shape[0] != rounds:
         raise ValueError(f"probs has shape {probs.shape}, expected ({rounds}, agents)")
     n_agents = probs.shape[1]
-    if params.stepsize <= 0.0:
-        raise ValueError(f"stepsize must be > 0 to evaluate the bound, got {params.stepsize}")
     s_count, m_count = params.snapshots, params.inner_steps
-    delta = params.stepsize
+    delta = _as_float(params.stepsize, "stepsize", minimum=0.0, strict_min=True)
 
     est, imputed = _estimate_v_sq(traces, rounds, n_agents, params)
 

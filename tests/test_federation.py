@@ -359,7 +359,7 @@ class TestRunTraining:
     def test_theta0_dimension_checked(self):
         dataset, _ = small_dataset()
         cfg = svrg_config(ParticipationSchedule(1.0), dim=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("theta has shape (3,), expected (2,)")):
             run_training(LossKind.QUADRATIC, dataset, cfg)
 
 

@@ -14,6 +14,7 @@ from fedsim.cli import build_parser
 from fedsim.config import parse_config
 from fedsim.experiment import _write_json, run_experiment
 from fedsim.federation import TrainingError
+from fedsim.frozen import ConfigError
 
 
 def experiment_doc(**overrides):
@@ -255,6 +256,7 @@ class TestWorkerPool:
         (2, 3, [2]),
         (5, 1, [3]),
         (1, 3, []),
+        (np.int64(2), 3, [2]),
     ])
     def test_pool_is_capped_at_the_job_count(self, tmp_path, pool_sizes, workers, runs, expected):
         cfg = parse_config(experiment_doc(runs=runs))
@@ -269,7 +271,15 @@ class TestWorkerPool:
     @pytest.mark.parametrize("workers", [0, -1])
     def test_rejects_a_worker_count_below_one(self, tmp_path, pool_sizes, workers):
         out = tmp_path / "out"
-        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+        with pytest.raises(ConfigError, match=f"^workers: must be >= 1, got {workers}$"):
+            run_experiment(parse_config(experiment_doc()), output_dir=out, workers=workers)
+        assert pool_sizes == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [2.5, 1.5, True])
+    def test_rejects_a_worker_count_that_is_not_an_integer(self, tmp_path, pool_sizes, workers):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=f"^workers: expected an integer, got {workers}$"):
             run_experiment(parse_config(experiment_doc()), output_dir=out, workers=workers)
         assert pool_sizes == []
         assert not out.exists()

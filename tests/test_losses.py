@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_shard, random_dataset, random_shard, stacked_dataset
+from fedsim.frozen import ConfigError
 from fedsim.losses import (
     Dataset,
     LossKind,
@@ -289,10 +290,15 @@ class TestGenerator:
 
     def test_rejects_bad_arguments(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            generate_regression_dataset(0, 5, 3, 1.0, rng)
-        with pytest.raises(ValueError):
-            generate_regression_dataset(2, 5, 3, -0.5, rng)
+        good = {"n_agents": 2, "samples_per_agent": 5, "dimension": 3, "noise_std": 1.0}
+        bad = {name: [0, 2.0, True] for name in ("n_agents", "samples_per_agent", "dimension")}
+        bad["noise_std"] = [-0.5, float("nan"), True]
+        for name, values in bad.items():
+            for value in values:
+                with pytest.raises(ConfigError, match=f"^{name}: "):
+                    generate_regression_dataset(**{**good, name: value}, rng=rng)
+        # Every argument is checked before the generator is drawn from.
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 class TestLeastSquaresOracle:

@@ -12,6 +12,7 @@ from fedsim.federation import (
     SgdParams,
     run_training,
 )
+from fedsim.frozen import ConfigError
 from fedsim.local_update import SvrgParams
 from fedsim.losses import LossKind, generate_regression_dataset, global_cost, least_squares_oracle
 from fedsim.metrics import (
@@ -223,7 +224,7 @@ class TestBoundCheck:
         # SvrgParams permits a zero stepsize, but the initial term divides by it.
         params = SvrgParams(2, 3, 0.0)
         _, _, traces, probs = tiny_experiment(snapshots=2, inner_steps=3, stepsize=0.0)
-        with pytest.raises(ValueError, match=r"stepsize must be > 0 .*got 0\.0"):
+        with pytest.raises(ConfigError, match=re.escape("stepsize: must be > 0.0, got 0.0")):
             theorem_bound_check(traces, 4.0, 2.0, 1.0, params, probs)
 
     def test_drift_term_vanishes_without_inner_history(self):
